@@ -72,22 +72,29 @@ class Dfa:
     delta: dict = field(repr=False)
 
 
+def closure(starts, step) -> list:
+    """Everything reachable from starts under step, in breadth-first
+    discovery order; step maps an item to an iterable of successors."""
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
+    for item in order:  # the list grows while it is read: a FIFO queue
+        for nxt in step(item):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
+
+
 def saturate(ts: TransitionSystem) -> TransitionSystem:
     """Close under reflexivity, involution symmetry, and letter up-closure."""
     A = ts.alphabet
-    trans = set(ts.transitions)
-    for q in ts.states:
-        for a in A.letters:
-            trans.add((q, a, q))
-    work = deque(trans)
-    while work:
-        p, a, q = work.popleft()
-        for t in [(q, A.bar(a), p)] + [
-            (p, b, q) for b in A.letters if b != a and A.leq(a, b)
-        ]:
-            if t not in trans:
-                trans.add(t)
-                work.append(t)
+    loops = [(q, a, q) for q in ts.states for a in A.letters]
+
+    def implied(t):
+        p, a, q = t
+        return [(q, A.bar(a), p)] + [(p, b, q) for b in A.letters if A.leq(a, b)]
+
+    trans = closure(list(ts.transitions) + loops, implied)
     return TransitionSystem(A, ts.states, frozenset(trans))
 
 
@@ -131,19 +138,9 @@ def minimal_dfa(F: FinalSegment) -> Dfa:
     is_full test. The empty segment yields the one-state rejecting automaton.
     """
     A = F.alphabet
-    states = [F]
-    seen = {F}
-    delta = {}
-    queue = deque([F])
-    while queue:
-        G = queue.popleft()
-        for a in A.letters:
-            H = left_residual(Word(A, (a,)), G)
-            delta[(G, a)] = H
-            if H not in seen:
-                seen.add(H)
-                states.append(H)
-                queue.append(H)
+    letters = [(a, Word(A, (a,))) for a in A.letters]
+    states = closure([F], lambda G: [left_residual(w, G) for _, w in letters])
+    delta = {(G, a): left_residual(w, G) for G in states for a, w in letters}
     accepting = frozenset(G for G in states if is_full(G))
     return Dfa(A, tuple(states), F, accepting, delta)
 
@@ -346,6 +343,22 @@ def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
     freq = Counter(c1.values())
     order = sorted(ts1.states, key=lambda q: (freq[c1[q]], ts1.states.index(q)))
     candidates = {q: [r for r in ts2.states if c2[r] == c1[q]] for q in order}
+    mapping = find_bijection(
+        order,
+        candidates,
+        lambda p, q, r, s: lt1[(p, r)] == lt2[(q, s)] and lt1[(r, p)] == lt2[(s, q)],
+    )
+    return mapping is not None, mapping
+
+
+def find_bijection(order, candidates, agree) -> dict | None:
+    """Backtracking search for an injective map p -> q, q in candidates[p].
+
+    Points are assigned in the given order and candidates tried in their
+    listed order; every two assignments p -> q and r -> s, a point paired
+    with itself included, must satisfy agree(p, q, r, s). Returns the first
+    such map, or None.
+    """
     mapping: dict = {}
     used = set()
 
@@ -354,16 +367,9 @@ def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
             return True
         p = order[i]
         for q in candidates[p]:
-            if q in used:
+            if q in used or not agree(p, q, p, q):
                 continue
-            ok = True
-            for r, s in mapping.items():
-                if lt1[(p, r)] != lt2[(q, s)] or lt1[(r, p)] != lt2[(s, q)]:
-                    ok = False
-                    break
-            if ok and lt1[(p, p)] != lt2[(q, q)]:
-                ok = False
-            if not ok:
+            if not all(agree(p, q, r, s) for r, s in mapping.items()):
                 continue
             mapping[p] = q
             used.add(q)
@@ -373,46 +379,38 @@ def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
             used.discard(q)
         return False
 
-    if extend(0):
-        return True, dict(mapping)
-    return False, None
+    return dict(mapping) if extend(0) else None
+
+
+def neighbours(ts: TransitionSystem) -> defaultdict:
+    """Adjacency sets of the undirected graph of the non-loop transitions."""
+    adj = defaultdict(set)
+    for p, _, q in ts.transitions:
+        if p != q:
+            adj[p].add(q)
+            adj[q].add(p)
+    return adj
 
 
 def articulation_states(ts: TransitionSystem, x, y) -> list:
     """States other than x, y whose removal disconnects x from y.
 
     Works on the underlying undirected graph with loops ignored; the result
-    is ordered by distance from x (ties by state order).
+    is ordered by distance from x. Every cut lies on a shortest x-y path, so
+    no two cuts tie and breadth-first discovery order sorts them.
     """
     if x == y:
         return []
-    adj = defaultdict(set)
-    for p, a, q in ts.transitions:
-        if p != q:
-            adj[p].add(q)
-            adj[q].add(p)
-
-    def reach(source, banned):
-        seen = {source} | banned
-        queue = deque([source])
-        order = {source: 0}
-        while queue:
-            p = queue.popleft()
-            for q in adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    order[q] = order[p] + 1
-                    queue.append(q)
-        return order
-
-    dist = reach(x, set())
-    if y not in dist:
+    adj = neighbours(ts)
+    order = {q: i for i, q in enumerate(closure([x], adj.__getitem__))}
+    if y not in order:
         raise ValueError("x and y are not connected")
-    index = {q: i for i, q in enumerate(ts.states)}
     cuts = [
         z
         for z in ts.states
-        if z not in (x, y) and z in dist and y not in reach(x, {z})
+        if z not in (x, y)
+        and z in order
+        and y not in closure([x], lambda p: adj[p] - {z})
     ]
-    cuts.sort(key=lambda z: (dist[z], index[z]))
+    cuts.sort(key=order.__getitem__)
     return cuts

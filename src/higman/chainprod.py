@@ -20,10 +20,10 @@ from .segments import (
     canonicalize,
     full_segment,
     intersect,
-    right_residual,
     subset_of,
 )
-from .envelope import EnvelopeLattice, build_envelope
+from .automata import closure
+from .envelope import EnvelopeLattice, build_envelope, letter_residuals
 
 
 @dataclass(frozen=True)
@@ -179,21 +179,16 @@ def _residual_tuples(F: FinalSegment, generators: tuple) -> frozenset:
     """
     A = F.alphabet
     dims = tuple(len(u.symbols) for u in generators)
-    start = (F, (0,) * len(generators))
-    seen = {start}
-    queue = [start]
-    while queue:
-        G, sigma = queue.pop()
-        for a in A.letters:
-            H = right_residual(G, Word(A, (a,)))
-            stepped = tuple(
+
+    def step(state):
+        G, sigma = state
+        for a, H in zip(A.letters, letter_residuals(G)):
+            yield H, tuple(
                 s + 1 if s < n and A.leq(u.symbols[n - 1 - s], a) else s
                 for s, n, u in zip(sigma, dims, generators)
             )
-            state = (H, stepped)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
+
+    seen = closure([(F, (0,) * len(generators))], step)
     return frozenset(
         (G, tuple(n - s for s, n in zip(sigma, dims))) for G, sigma in seen
     )

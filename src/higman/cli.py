@@ -31,12 +31,16 @@ from .segments import (
     concat_seg,
     format_segment,
     involute_seg,
-    is_empty,
     is_full,
-    seg_key,
     subset_of,
 )
-from .automata import language_equals_segment, min_dfa_morphism, minimal_dfa
+from .automata import (
+    Automaton,
+    accepted_basis,
+    language_equals_segment,
+    min_dfa_morphism,
+    minimal_dfa,
+)
 from .envelope import (
     algebra_distance,
     as_pointed,
@@ -183,9 +187,8 @@ def _count(n: int, noun: str) -> str:
 def cmd_envelope(args) -> int:
     F = load_spec(args.spec).segment()
     env = build_envelope(F)
-    elements = sorted(env.elements, key=seg_key)
-    print(_count(len(elements), "element"))
-    for P in elements:
+    print(_count(len(env.elements), "element"))
+    for P in env.elements:
         print(format_segment(P))
     if args.dot:
         _write(
@@ -259,8 +262,7 @@ def cmd_count(args) -> int:
 def _verify_checks(F: FinalSegment):
     """Yield (name, thunk) pairs; a thunk returns a detail string or raises."""
     env = build_envelope(F)
-    elements = sorted(env.elements, key=seg_key)
-    A = F.alphabet
+    elements = env.elements
 
     def envelope_size():
         return _count(len(elements), "element")
@@ -271,12 +273,18 @@ def _verify_checks(F: FinalSegment):
         return "acceptor matches the segment"
 
     def distance_identity():
+        # dist is algebraic; the path language is its independent oracle
+        ts = env.transition_system()
         for P in elements:
             for Q in elements:
-                same = is_full(dist(env, P, Q))
-                assert same == (P == Q), (
-                    f"d({format_segment(P)}, {format_segment(Q)}) fails identity"
+                d = dist(env, P, Q)
+                pair = f"d({format_segment(P)}, {format_segment(Q)})"
+                paths = accepted_basis(Automaton(ts, frozenset({P}), frozenset({Q})))
+                assert paths == d, (
+                    f"{pair} = {format_segment(d)} but the path language is "
+                    f"{format_segment(paths)}"
                 )
+                assert is_full(d) == (P == Q), f"{pair} fails identity"
         return _count(len(elements) ** 2, "pair")
 
     def distance_triangle():

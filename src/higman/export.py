@@ -20,10 +20,6 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _sorted_elements(env: EnvelopeLattice) -> list:
-    return sorted(env.elements, key=seg_key)
-
-
 def _grouped_edges(transitions, include_loops: bool):
     """Merge parallel transitions into one edge labeled by its letters."""
     letters: dict = {}
@@ -40,7 +36,7 @@ def _grouped_edges(transitions, include_loops: bool):
 def dot_hasse(env: EnvelopeLattice) -> str:
     """Hasse diagram of the envelope, covers drawn upward."""
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
-    for P in _sorted_elements(env):
+    for P in env.elements:
         lines.append(f"  {_quote(_name(P))};")
     for lower, upper in sorted(
         env.hasse, key=lambda pair: (seg_key(pair[0]), seg_key(pair[1]))
@@ -53,7 +49,7 @@ def dot_hasse(env: EnvelopeLattice) -> str:
 def dot_transitions(env: EnvelopeLattice, include_loops: bool = False) -> str:
     """The envelope's transition graph, one edge per state pair."""
     lines = ["digraph transitions {", "  node [shape=box];"]
-    for P in _sorted_elements(env):
+    for P in env.elements:
         shape = ' [peripheries=2]' if P == env.y else ""
         lines.append(f"  {_quote(_name(P))}{shape};")
     for p, q, label in _grouped_edges(env.t_f, include_loops):
@@ -97,9 +93,8 @@ def dot_dfa(dfa: Dfa, include_loops: bool = False) -> str:
 
 def envelope_payload(env: EnvelopeLattice) -> dict:
     """Elements, base points, covers, transitions, and all distances."""
-    elements = _sorted_elements(env)
     return {
-        "elements": [_name(P) for P in elements],
+        "elements": [_name(P) for P in env.elements],
         "x": _name(env.x),
         "y": _name(env.y),
         "hasse": [
@@ -116,8 +111,8 @@ def envelope_payload(env: EnvelopeLattice) -> dict:
         ],
         "distances": [
             [_name(P), _name(Q), _name(dist(env, P, Q))]
-            for P in elements
-            for Q in elements
+            for P in env.elements
+            for Q in env.elements
         ],
     }
 

@@ -13,9 +13,9 @@ from collections import deque
 from itertools import combinations, product
 
 from .words import Alphabet, Word, concat
-from .segments import FinalSegment, is_empty, right_residual, subset_of
-from .automata import Automaton, Dfa
-from .envelope import EnvelopeLattice, build_envelope
+from .segments import FinalSegment, is_empty, subset_of
+from .automata import Automaton, Dfa, _step, closure
+from .envelope import EnvelopeLattice, build_envelope, letter_residuals
 
 
 def is_ferrers_segment(F: FinalSegment) -> tuple[bool, tuple | None]:
@@ -26,62 +26,22 @@ def is_ferrers_segment(F: FinalSegment) -> tuple[bool, tuple | None]:
     """
     if is_empty(F):
         return True, None
-    A = F.alphabet
-    seen = [F]
-    index = {F}
-    queue = deque([F])
-    while queue:
-        G = queue.popleft()
-        for a in A.letters:
-            H = right_residual(G, Word(A, (a,)))
-            if H in index:
-                continue
-            for S in seen:
-                if not subset_of(H, S) and not subset_of(S, H):
-                    return False, (H, S)
-            seen.append(H)
-            index.add(H)
-            queue.append(H)
+    residuals = closure([F], letter_residuals)
+    for i, H in enumerate(residuals):
+        for S in residuals[:i]:
+            if not subset_of(H, S) and not subset_of(S, H):
+                return False, (H, S)
     return True, None
 
 
 def _determinize(aut: Automaton) -> Dfa:
-    A = aut.system.alphabet
-    step = {}
-    for p, a, q in aut.system.transitions:
-        step.setdefault((p, a), set()).add(q)
+    ts = aut.system
+    A = ts.alphabet
     start = frozenset(aut.initial)
-    states = [start]
-    seen = {start}
-    delta = {}
-    queue = deque([start])
-    while queue:
-        S = queue.popleft()
-        for a in A.letters:
-            T = frozenset(q for p in S for q in step.get((p, a), ()))
-            delta[(S, a)] = T
-            if T not in seen:
-                seen.add(T)
-                states.append(T)
-                queue.append(T)
+    states = closure([start], lambda S: [_step(ts, S, a) for a in A.letters])
+    delta = {(S, a): _step(ts, S, a) for S in states for a in A.letters}
     accepting = frozenset(S for S in states if S & aut.final)
     return Dfa(A, tuple(states), start, accepting, delta)
-
-
-def _reachable(dfa: Dfa) -> tuple:
-    A = dfa.alphabet
-    order = [dfa.start]
-    seen = {dfa.start}
-    queue = deque([dfa.start])
-    while queue:
-        s = queue.popleft()
-        for a in A.letters:
-            t = dfa.delta[(s, a)]
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-                queue.append(t)
-    return tuple(order)
 
 
 def _separating_word(dfa: Dfa, s, t) -> Word | None:
@@ -115,7 +75,8 @@ def is_ferrers_regular(machine) -> tuple[bool, tuple | None]:
     separating their right languages in both directions.
     """
     dfa = machine if isinstance(machine, Dfa) else _determinize(machine)
-    states = _reachable(dfa)
+    letters = dfa.alphabet.letters
+    states = closure([dfa.start], lambda s: [dfa.delta[(s, a)] for a in letters])
     for i, s in enumerate(states):
         for t in states[i + 1 :]:
             w_st = _separating_word(dfa, s, t)

@@ -7,7 +7,6 @@ search ranges over subsets of envelope elements containing both base points.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 
 from .segments import FinalSegment, is_empty
@@ -15,8 +14,10 @@ from .automata import (
     Automaton,
     TransitionSystem,
     accepts,
+    closure,
     isomorphic,
     language_equals_segment,
+    neighbours,
     saturate,
 )
 from .envelope import EnvelopeLattice, build_envelope
@@ -38,21 +39,9 @@ def _induced(env: EnvelopeLattice, subset: frozenset) -> Automaton:
 
 def _connects(aut: Automaton) -> bool:
     # x and y in one component of the non-loop transition graph
-    adj = {}
-    for p, _, q in aut.system.transitions:
-        if p != q:
-            adj.setdefault(p, set()).add(q)
-            adj.setdefault(q, set()).add(p)
     (x,) = aut.initial
     (y,) = aut.final
-    seen = {x}
-    queue = deque([x])
-    while queue:
-        for nxt in adj.get(queue.popleft(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return y in seen
+    return y in closure([x], neighbours(aut.system).__getitem__)
 
 
 def _covers(aut: Automaton, letters: set) -> bool:

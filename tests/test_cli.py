@@ -282,6 +282,20 @@ class TestVerifyCommand:
         assert code == 0
         assert len(out.splitlines()) == 12
 
+    def test_wrong_distance_fails_path_language_oracle(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A* on the diagonal and F elsewhere: only the path language refutes it
+        monkeypatch.setattr(
+            "higman.cli.dist",
+            lambda env, P, Q: env.x if P == Q else env.y,
+        )
+        code, out, _ = run(capsys, "verify", spec_file(tmp_path, FIG1))
+        assert code == 1
+        last = out.splitlines()[-1]
+        assert last.startswith("FAIL: distance identity: ")
+        assert "but the path language is" in last
+
 
 class TestTopLevelErrors:
     def test_spec_error_exit(self, capsys, tmp_path):

@@ -13,7 +13,7 @@ from higman.segments import (
     segment,
     subset_of,
 )
-from higman.automata import is_reflexive_involutive
+from higman.automata import Automaton, accepted_basis, is_reflexive_involutive
 from higman.envelope import (
     PointedSpace,
     algebra_distance,
@@ -30,12 +30,17 @@ from higman.envelope import (
     verify_sum_theorem,
 )
 
-from helpers import ab, abc_primed, regression_bases, tf_system
+from helpers import ab, ab_ordered, abc_primed, regression_bases, tf_system
 
 
 def square_pair_envelope():
     A = ab()
     return A, build_envelope(segment(A, "aa", "bb"))
+
+
+def path_language(ts, P, Q):
+    """The language of paths P -> Q in a transition system: dist's oracle."""
+    return accepted_basis(Automaton(ts, frozenset({P}), frozenset({Q})))
 
 
 class TestResidualClosure:
@@ -147,11 +152,12 @@ class TestDist:
         with pytest.raises(ValueError):
             dist(env, env.x, segment(A, "aaa"))
 
-    def test_agrees_with_algebraic_form(self):
+    def test_agrees_with_path_language(self):
         for A, env in (square_pair_envelope(), (ab(), build_envelope(segment(ab(), "ab")))):
+            ts = env.transition_system()
             for P in env.elements:
                 for Q in env.elements:
-                    assert dist(env, P, Q) == algebra_distance(P, Q)
+                    assert dist(env, P, Q) == path_language(ts, P, Q)
 
     def test_symmetry_and_triangle(self):
         A, env = square_pair_envelope()
@@ -329,19 +335,23 @@ class TestDecompose:
 
 class TestEnvelopeInvariants:
     def test_sampled_regression_family(self):
+        # ten sampled envelopes over a, b and every one over a <= b
         rng = random.Random(29)
         cases = [F for F in regression_bases(ab()) if F.basis]
         rng.shuffle(cases)
-        for F in cases[:10]:
+        ordered = [F for F in regression_bases(ab_ordered()) if F.basis]
+        assert len(ordered) == 41
+        for F in cases[:10] + ordered:
             env = build_envelope(F)
-            assert is_reflexive_involutive(env.transition_system())
+            ts = env.transition_system()
+            assert is_reflexive_involutive(ts)
             space = as_pointed(env)
             for P in env.elements:
                 for Q in env.elements:
                     d = space.d[(P, Q)]
                     assert (d == full_segment(env.alphabet)) == (P == Q)
                     assert d == involute_seg(space.d[(Q, P)])
-                    assert d == algebra_distance(P, Q)
+                    assert d == path_language(ts, P, Q)
             ok, _ = check_convexity(space)
             assert ok
             assert no_proper_isometric_subspace(space)
