@@ -1,6 +1,6 @@
 """CLI outputs pinned byte for byte against the files under tests/golden/.
 
-Each directory there holds one spec.json and, for every subcommand below,
+Each directory there holds one spec.json and, for every command line below,
 its stdout, the DOT and JSON files it exports, and all exit codes. Running
 this file as a script rewrites the expected files from the package on the
 import path:
@@ -21,30 +21,34 @@ from higman.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# subcommand -> (extra arguments, suffixes of the files it exports)
+# output name -> (subcommand and flags, suffixes of the files it exports);
+# every DOT-writing subcommand is pinned with and without --loops
 COMMANDS = {
-    "envelope": (["--loops"], ("dot", "json")),
-    "mindfa": ([], ("dot", "json")),
-    "minmax": ([], ("dot", "json")),
-    "ferrers": ([], ()),
-    "decompose": ([], ()),
-    "verify": ([], ()),
+    "envelope": (["envelope"], ("dot", "json")),
+    "envelope-loops": (["envelope", "--loops"], ("dot",)),
+    "mindfa": (["mindfa"], ("dot", "json")),
+    "mindfa-loops": (["mindfa", "--loops"], ("dot",)),
+    "minmax": (["minmax"], ("dot", "json")),
+    "minmax-loops": (["minmax", "--loops"], ("dot",)),
+    "ferrers": (["ferrers"], ()),
+    "decompose": (["decompose"], ()),
+    "verify": (["verify"], ()),
 }
 
 
 def cli_outputs(spec: Path, workdir: Path) -> dict:
     """File name -> bytes, for every subcommand run on the spec."""
     files, codes = {}, {}
-    for cmd, (extra, exports) in COMMANDS.items():
-        argv = [cmd, str(spec), *extra]
+    for name, ([cmd, *flags], exports) in COMMANDS.items():
+        argv = [cmd, str(spec), *flags]
         for suffix in exports:
-            argv += [f"--{suffix}", str(workdir / f"{cmd}.{suffix}")]
+            argv += [f"--{suffix}", str(workdir / f"{name}.{suffix}")]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            codes[cmd] = main(argv)
-        files[f"{cmd}.stdout"] = out.getvalue().encode("utf-8")
+            codes[name] = main(argv)
+        files[f"{name}.stdout"] = out.getvalue().encode("utf-8")
         for suffix in exports:
-            files[f"{cmd}.{suffix}"] = (workdir / f"{cmd}.{suffix}").read_bytes()
+            files[f"{name}.{suffix}"] = (workdir / f"{name}.{suffix}").read_bytes()
     files["exit_codes.json"] = (json.dumps(codes, indent=2) + "\n").encode("utf-8")
     return files
 
