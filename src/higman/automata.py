@@ -4,12 +4,15 @@ Systems can be saturated (every letter loops everywhere, transitions close
 under involution-reversal and letter up-closure); saturated systems accept
 up-closed languages, whose finite bases are extracted by shortest-word search.
 The minimal deterministic automaton of a final segment is its left-residual
-closure.
+closure. Two searches serve the machine layer: closure() walks everything
+reachable, shortest_word() finds the length-lexicographically least word
+reaching a goal; find_bijection() is the one backtracking matcher, behind
+isomorphism.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -83,6 +86,32 @@ def closure(starts, step) -> list:
                 seen.add(nxt)
                 order.append(nxt)
     return order
+
+
+def shortest_word(A: Alphabet, start, step, good) -> Word | None:
+    """Length-lexicographically least word leading from start to a good
+    configuration, or None if none is reachable.
+
+    Breadth-first in letter order; step(config, a) gives the next
+    configuration, or None to prune it. A configuration is tested when it is
+    discovered rather than when it leaves the queue, which spares expanding
+    the configurations queued ahead of it.
+    """
+    if good(start):
+        return Word(A, ())
+    seen = {start}
+    queue = deque([(start, ())])
+    while queue:
+        config, syms = queue.popleft()
+        for a in A.letters:
+            nxt = step(config, a)
+            if nxt is None or nxt in seen:
+                continue
+            if good(nxt):
+                return Word(A, syms + (a,))
+            seen.add(nxt)
+            queue.append((nxt, syms + (a,)))
+    return None
 
 
 def saturate(ts: TransitionSystem) -> TransitionSystem:
@@ -163,29 +192,18 @@ def complement(dfa: Dfa) -> Dfa:
 
 
 def _shortest_word_in_product(aut: Automaton, dfa: Dfa) -> Word | None:
-    """Length-lexicographically least word accepted by both machines."""
-    A = aut.system.alphabet
-    start = (aut.initial, dfa.start)
+    """Length-lexicographically least word accepted by both machines; an
+    empty NFA state set accepts nothing, so it is pruned."""
+
+    def step(config, a):
+        nfa_states = _step(aut.system, config[0], a)
+        return (nfa_states, dfa.delta[(config[1], a)]) if nfa_states else None
 
     def good(config):
         nfa_states, q = config
         return bool(nfa_states & aut.final) and q in dfa.accepting
 
-    if good(start):
-        return Word(A, ())
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        (nfa_states, q), syms = queue.popleft()
-        for a in A.letters:
-            nxt = (_step(aut.system, nfa_states, a), dfa.delta[(q, a)])
-            if nxt in seen or not nxt[0]:
-                continue
-            if good(nxt):
-                return Word(A, syms + (a,))
-            seen.add(nxt)
-            queue.append((nxt, syms + (a,)))
-    return None
+    return shortest_word(aut.system.alphabet, (aut.initial, dfa.start), step, good)
 
 
 def accepted_basis(aut: Automaton) -> FinalSegment:
@@ -282,43 +300,14 @@ def min_dfa_morphism(F: FinalSegment, env=None) -> dict:
     return image
 
 
-def _joint_colors(aut1: Automaton, aut2: Automaton) -> tuple[dict, dict]:
-    """Stable refinement coloring computed jointly so colors are comparable."""
-    nodes = [(1, q) for q in aut1.system.states] + [(2, q) for q in aut2.system.states]
-    auts = {1: aut1, 2: aut2}
-    out_adj = {n: [] for n in nodes}
-    in_adj = {n: [] for n in nodes}
-    for tag, aut in auts.items():
-        for p, a, q in aut.system.transitions:
-            out_adj[(tag, p)].append((a, (tag, q)))
-            in_adj[(tag, q)].append((a, (tag, p)))
-    color = {
-        (tag, q): (q in auts[tag].initial, q in auts[tag].final)
-        for tag, q in nodes
-    }
-    classes = len(set(color.values()))
-    while True:
-        sig = {}
-        for n in nodes:
-            outs = tuple(sorted(Counter((a, color[m]) for a, m in out_adj[n]).items()))
-            ins = tuple(sorted(Counter((a, color[m]) for a, m in in_adj[n]).items()))
-            sig[n] = (color[n], outs, ins)
-        ranking = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        color = {n: ranking[sig[n]] for n in nodes}
-        if len(ranking) == classes:
-            break
-        classes = len(ranking)
-    c1 = {q: color[(1, q)] for q in aut1.system.states}
-    c2 = {q: color[(2, q)] for q in aut2.system.states}
-    return c1, c2
-
-
 def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
     """Decide automaton isomorphism; on success also return a witness bijection.
 
     The bijection must preserve transitions in both directions and map the
-    initial and final sets onto each other. Color refinement prunes the
-    backtracking to same-signature candidates.
+    initial and final sets onto each other. After the size checks, each state
+    may go to the states that agree with it on initial and final membership,
+    and find_bijection keeps the letters between every two mapped states
+    equal.
     """
     ts1, ts2 = aut1.system, aut2.system
     if ts1.alphabet != ts2.alphabet:
@@ -327,11 +316,9 @@ def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
         return False, None
     if len(ts1.transitions) != len(ts2.transitions):
         return False, None
-    if len(aut1.initial) != len(aut2.initial) or len(aut1.final) != len(aut2.final):
-        return False, None
-    c1, c2 = _joint_colors(aut1, aut2)
-    if sorted(Counter(c1.values()).items()) != sorted(Counter(c2.values()).items()):
-        return False, None
+
+    def role(aut, q):
+        return q in aut.initial, q in aut.final
 
     def letters_between(ts):
         table = defaultdict(set)
@@ -340,11 +327,12 @@ def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
         return table
 
     lt1, lt2 = letters_between(ts1), letters_between(ts2)
-    freq = Counter(c1.values())
-    order = sorted(ts1.states, key=lambda q: (freq[c1[q]], ts1.states.index(q)))
-    candidates = {q: [r for r in ts2.states if c2[r] == c1[q]] for q in order}
+    candidates = {
+        q: [r for r in ts2.states if role(aut2, r) == role(aut1, q)]
+        for q in ts1.states
+    }
     mapping = find_bijection(
-        order,
+        ts1.states,
         candidates,
         lambda p, q, r, s: lt1[(p, r)] == lt2[(q, s)] and lt1[(r, p)] == lt2[(s, q)],
     )

@@ -96,10 +96,8 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     A = F.alphabet
     residuals = list(residual_closure(F))
     # every meet of residuals is reached by meeting one residual at a time
-    elements = closure(
-        residuals + [full_segment(A)],
-        lambda G: [intersect(G, R) for R in residuals],
-    )
+    # A* = F/w for any w in F, so it is already a residual
+    elements = closure(residuals, lambda G: [intersect(G, R) for R in residuals])
     ordered = tuple(sorted(elements, key=seg_key))
     covers = set()
     for P, Q in ((P, Q) for P in ordered for Q in ordered):

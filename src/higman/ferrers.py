@@ -9,12 +9,11 @@ states of a deterministic acceptor, must form a chain.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations, product
 
 from .words import Alphabet, Word, concat
 from .segments import FinalSegment, is_empty, subset_of
-from .automata import Automaton, Dfa, _step, closure
+from .automata import Automaton, Dfa, _step, closure, shortest_word
 from .envelope import EnvelopeLattice, build_envelope, letter_residuals
 
 
@@ -46,25 +45,12 @@ def _determinize(aut: Automaton) -> Dfa:
 
 def _separating_word(dfa: Dfa, s, t) -> Word | None:
     """Length-lex least word accepted from s but not from t."""
-    A = dfa.alphabet
-    start = (s, t)
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        p, q = pair
-        if p in dfa.accepting and q not in dfa.accepting:
-            path = []
-            while parent[pair] is not None:
-                pair, a = parent[pair]
-                path.append(a)
-            return Word(A, tuple(reversed(path)))
-        for a in A.letters:
-            nxt = (dfa.delta[(p, a)], dfa.delta[(q, a)])
-            if nxt not in parent:
-                parent[nxt] = (pair, a)
-                queue.append(nxt)
-    return None
+    return shortest_word(
+        dfa.alphabet,
+        (s, t),
+        lambda pair, a: (dfa.delta[(pair[0], a)], dfa.delta[(pair[1], a)]),
+        lambda pair: pair[0] in dfa.accepting and pair[1] not in dfa.accepting,
+    )
 
 
 def is_ferrers_regular(machine) -> tuple[bool, tuple | None]:

@@ -186,14 +186,6 @@ def _matched_prefix_len(A: Alphabet, u: tuple, v: tuple) -> int:
     return i
 
 
-def _matched_suffix_len(A: Alphabet, u: tuple, v: tuple) -> int:
-    i = len(u) - 1
-    for b in reversed(v):
-        if i >= 0 and A.leq(u[i], b):
-            i -= 1
-    return len(u) - 1 - i
-
-
 def max_embeddable_prefix(u: Word, w: Word) -> tuple[Word, Word]:
     """Split u = u'u'' with u' the longest prefix of u embedding in w.
 
@@ -208,7 +200,7 @@ def max_embeddable_prefix(u: Word, w: Word) -> tuple[Word, Word]:
 def max_embeddable_suffix(u: Word, w: Word) -> tuple[Word, Word]:
     """Split u = u'u'' with u'' the longest suffix of u embedding in w."""
     _check_same_alphabet(u, w)
-    k = _matched_suffix_len(u.alphabet, u.symbols, w.symbols)
+    k = _matched_prefix_len(u.alphabet, u.symbols[::-1], w.symbols[::-1])
     n = len(u.symbols)
     return Word(u.alphabet, u.symbols[:n - k]), Word(u.alphabet, u.symbols[n - k:])
 
@@ -229,14 +221,11 @@ def minimal_words(words) -> tuple[Word, ...]:
 
 
 def _minimal_tuples(A: Alphabet, tuples: set) -> set:
-    def emb(s, t):
-        i = 0
-        for b in t:
-            if i < len(s) and A.leq(s[i], b):
-                i += 1
-        return i == len(s)
-
-    return {t for t in tuples if not any(s != t and emb(s, t) for s in tuples)}
+    return {
+        t
+        for t in tuples
+        if not any(s != t and _matched_prefix_len(A, s, t) == len(s) for s in tuples)
+    }
 
 
 @lru_cache(maxsize=None)

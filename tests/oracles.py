@@ -6,7 +6,7 @@ greedy matching, pointwise set evaluation instead of basis calculus,
 subset enumeration instead of bitmask filters).
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from higman.words import Word, sort_key
 
@@ -81,3 +81,45 @@ def antichain_count_oracle(dims) -> int:
             if not any(below(p, q) or below(q, p) for p, q in combinations(sub, 2)):
                 count += 1
     return count
+
+
+def is_isomorphism(aut1, aut2, f: dict) -> bool:
+    """f is a bijection of states carrying transitions, initial and final
+    states of aut1 exactly onto those of aut2."""
+    ts1, ts2 = aut1.system, aut2.system
+    return (
+        set(f) == set(ts1.states)
+        and sorted(f.values(), key=repr) == sorted(ts2.states, key=repr)
+        and {(f[p], a, f[q]) for p, a, q in ts1.transitions} == set(ts2.transitions)
+        and {f[q] for q in aut1.initial} == set(aut2.initial)
+        and {f[q] for q in aut1.final} == set(aut2.final)
+    )
+
+
+def isomorphic_oracle(aut1, aut2) -> bool:
+    """Try every bijection between the two state tuples."""
+    states1, states2 = aut1.system.states, aut2.system.states
+    if len(states1) != len(states2):
+        return False
+    return any(
+        is_isomorphism(aut1, aut2, dict(zip(states1, image)))
+        for image in permutations(states2)
+    )
+
+
+def separating_word_oracle(dfa, s, t, bound: int):
+    """The first word, by length and then letter by letter in alphabet
+    order, that the DFA accepts from s and rejects from t; None if no word
+    of length <= bound does."""
+    A = dfa.alphabet
+
+    def accepted_from(q, syms):
+        for a in syms:
+            q = dfa.delta[(q, a)]
+        return q in dfa.accepting
+
+    for k in range(bound + 1):
+        for syms in product(A.letters, repeat=k):
+            if accepted_from(s, syms) and not accepted_from(t, syms):
+                return Word(A, syms)
+    return None

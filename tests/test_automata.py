@@ -34,7 +34,7 @@ from helpers import (
     regression_bases,
     tf_system,
 )
-from oracles import words_upto
+from oracles import is_isomorphism, isomorphic_oracle, words_upto
 
 
 def square_pair_elements(A):
@@ -312,6 +312,46 @@ class TestIsomorphic:
         far = Automaton(chain, frozenset({"x"}), frozenset({"y"}))
         ok, _ = isomorphic(near, far)
         assert not ok
+
+    def test_agrees_with_permutation_oracle(self):
+        # small saturated systems: relabelled copies, listed in another
+        # order, must match; moving the final state gives same-size pairs
+        # that may or may not
+        rng = random.Random(17)
+        isomorphic_pairs = non_isomorphic_pairs = 0
+        for A in (ab(), ab_ordered()):
+            for _ in range(40):
+                n = rng.randint(1, 5)
+                states = tuple(range(n))
+                edges = frozenset(
+                    (rng.randrange(n), rng.choice(A.letters), rng.randrange(n))
+                    for _ in range(rng.randint(0, 2 * n))
+                )
+                ts = saturate(TransitionSystem(A, states, edges))
+                x, y = rng.randrange(n), rng.randrange(n)
+                aut = Automaton(ts, frozenset({x}), frozenset({y}))
+                perm = rng.sample(states, n)
+                names = {q: f"s{perm[q]}" for q in states}
+                copy = Automaton(
+                    TransitionSystem(
+                        A,
+                        tuple(f"s{i}" for i in range(n)),
+                        frozenset((names[p], a, names[q]) for p, a, q in ts.transitions),
+                    ),
+                    frozenset({names[x]}),
+                    frozenset({names[y]}),
+                )
+                moved = Automaton(ts, frozenset({x}), frozenset({rng.randrange(n)}))
+                for other in (copy, moved):
+                    ok, witness = isomorphic(aut, other)
+                    assert ok == isomorphic_oracle(aut, other)
+                    if ok:
+                        assert is_isomorphism(aut, other, witness)
+                        isomorphic_pairs += 1
+                    else:
+                        assert witness is None
+                        non_isomorphic_pairs += 1
+        assert (isomorphic_pairs, non_isomorphic_pairs) == (122, 38)
 
 
 class TestArticulationStates:

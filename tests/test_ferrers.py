@@ -24,7 +24,7 @@ from higman.ferrers import (
     quadruple_sample_test,
 )
 from helpers import ab, ab_ordered, abc, nonempty_words, regression_bases
-from oracles import embeds_exhaustive
+from oracles import embeds_exhaustive, separating_word_oracle
 
 
 def run_from(dfa: Dfa, state, w: Word) -> bool:
@@ -111,6 +111,37 @@ class TestFerrersRegular:
         _, (s, t, w_st, w_ts) = is_ferrers_regular(dfa)
         assert run_from(dfa, s, w_st) and not run_from(dfa, t, w_st)
         assert run_from(dfa, t, w_ts) and not run_from(dfa, s, w_ts)
+
+    def test_witness_words_are_least_separating(self):
+        A = ab()
+        A1 = Alphabet(["a"])
+        even = Dfa(
+            A1, ("e", "o"), "e", frozenset({"e"}), {("e", "a"): "o", ("o", "a"): "e"}
+        )
+        machines = [
+            last_b_dfa(),
+            exact_ab_dfa(),
+            minimal_dfa(segment(A, "aa", "bb")),
+            minimal_dfa(segment(A, "ab")),
+            downset_dfa(A.word("abab")),
+            even,
+        ]
+        rng = random.Random(5)
+        for _ in range(30):
+            states = tuple(range(rng.randint(2, 4)))
+            delta = {(q, a): rng.choice(states) for q in states for a in A.letters}
+            accepting = frozenset(q for q in states if rng.random() < 0.5)
+            machines.append(Dfa(A, states, 0, accepting, delta))
+        witnesses = 0
+        for dfa in machines + [complement(m) for m in machines]:
+            ok, witness = is_ferrers_regular(dfa)
+            if ok:
+                continue
+            s, t, w_st, w_ts = witness
+            assert w_st == separating_word_oracle(dfa, s, t, 8)
+            assert w_ts == separating_word_oracle(dfa, t, s, 8)
+            witnesses += 1
+        assert witnesses == 26
 
     def test_empty_language(self):
         A = ab()
