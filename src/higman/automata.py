@@ -16,15 +16,15 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .words import Alphabet, Word, concat
+from .words import Alphabet, Word
 from .segments import (
     FinalSegment,
     canonicalize,
-    contains,
     full_segment,
     intersect,
     is_full,
     left_residual,
+    product_in,
     right_residual,
 )
 
@@ -114,33 +114,29 @@ def shortest_word(A: Alphabet, start, step, good) -> Word | None:
     return None
 
 
+def _implied(A: Alphabet, t) -> list:
+    """The transitions a saturated system must hold because it holds t:
+    its involution reversal and its letter up-closure."""
+    p, a, q = t
+    return [(q, A.bar(a), p)] + [(p, b, q) for b in A.letters if A.leq(a, b)]
+
+
 def saturate(ts: TransitionSystem) -> TransitionSystem:
     """Close under reflexivity, involution symmetry, and letter up-closure."""
     A = ts.alphabet
     loops = [(q, a, q) for q in ts.states for a in A.letters]
-
-    def implied(t):
-        p, a, q = t
-        return [(q, A.bar(a), p)] + [(p, b, q) for b in A.letters if A.leq(a, b)]
-
-    trans = closure(list(ts.transitions) + loops, implied)
+    trans = closure(list(ts.transitions) + loops, lambda t: _implied(A, t))
     return TransitionSystem(A, ts.states, frozenset(trans))
 
 
 def is_reflexive_involutive(ts: TransitionSystem) -> bool:
+    """Whether saturate would add nothing: every loop and every implied
+    transition is present."""
     A = ts.alphabet
     T = ts.transitions
-    for q in ts.states:
-        for a in A.letters:
-            if (q, a, q) not in T:
-                return False
-    for p, a, q in T:
-        if (q, A.bar(a), p) not in T:
-            return False
-        for b in A.letters:
-            if A.leq(a, b) and (p, b, q) not in T:
-                return False
-    return True
+    return all((q, a, q) in T for q in ts.states for a in A.letters) and all(
+        u in T for t in T for u in _implied(A, t)
+    )
 
 
 def _step(ts: TransitionSystem, states: frozenset, a: str) -> frozenset:
@@ -246,17 +242,6 @@ def language_equals_segment(
     return True, None
 
 
-def _times_letter_in(P: FinalSegment, a: str, Q: FinalSegment) -> bool:
-    """P concatenated with the up-set of a single letter lies inside Q.
-
-    The concatenation is generated by {p a : p in basis(P)}, so checking those
-    products suffices.
-    """
-    A = P.alphabet
-    la = Word(A, (a,))
-    return all(contains(Q, concat(p, la)) for p in P.basis)
-
-
 def min_dfa_morphism(F: FinalSegment, env=None) -> dict:
     """Map each left-residual state Y to the intersection of right residuals
     of F by the basis words of Y.
@@ -272,6 +257,7 @@ def min_dfa_morphism(F: FinalSegment, env=None) -> dict:
         raise ValueError("no morphism for the empty segment")
     A = F.alphabet
     dfa = minimal_dfa(F)
+    up = {a: canonicalize(A, [Word(A, (a,))]) for a in A.letters}
     image = {}
     for Y in dfa.states:
         G = full_segment(A)
@@ -284,7 +270,7 @@ def min_dfa_morphism(F: FinalSegment, env=None) -> dict:
         raise RuntimeError("morphism image of the accepting state is not F")
     for (Y, a), Y2 in dfa.delta.items():
         P, Q = image[Y], image[Y2]
-        if not _times_letter_in(P, a, Q) or not _times_letter_in(Q, A.bar(a), P):
+        if not product_in(P, up[a], Q) or not product_in(Q, up[A.bar(a)], P):
             raise RuntimeError(
                 f"transition ({Y!r}, {a!r}) does not map to an envelope transition"
             )

@@ -10,6 +10,7 @@ with pairwise disjoint downsets, phi is a bijection onto all up-sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
@@ -111,10 +112,10 @@ def _up_masks(points) -> list[int]:
 
 
 def _valid_masks(product: ChainProduct):
+    if math.prod(product.dims) > 20:
+        raise ValueError("chain product too large to enumerate")
     points = product.points
     n = len(points)
-    if n > 20:
-        raise ValueError("chain product too large to enumerate")
     masks = _up_masks(points)
     for mask in range(1 << n):
         rest = mask

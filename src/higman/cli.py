@@ -32,7 +32,7 @@ from .segments import (
     format_segment,
     involute_seg,
     is_full,
-    subset_of,
+    product_in,
 )
 from .automata import (
     Automaton,
@@ -165,6 +165,8 @@ def load_spec(path: str) -> ProblemSpec:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecError("", f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise SpecError("", "invalid JSON: nested too deeply") from None
     return parse_problem_spec(data)
 
 
@@ -291,10 +293,9 @@ def _verify_checks(F: FinalSegment):
         for P in elements:
             for Q in elements:
                 for R in elements:
-                    prod = concat_seg(dist(env, P, Q), dist(env, Q, R))
-                    assert subset_of(prod, dist(env, P, R)), (
-                        f"triangle fails through {format_segment(Q)}"
-                    )
+                    assert product_in(
+                        dist(env, P, Q), dist(env, Q, R), dist(env, P, R)
+                    ), f"triangle fails through {format_segment(Q)}"
         return _count(len(elements) ** 3, "triple")
 
     def distance_involution():

@@ -17,6 +17,7 @@ from functools import lru_cache, reduce
 from .words import Alphabet, Word
 from .segments import (
     FinalSegment,
+    canonicalize,
     concat_seg,
     contains,
     full_segment,
@@ -25,6 +26,7 @@ from .segments import (
     is_empty,
     is_full,
     left_residual,
+    product_in,
     right_residual,
     seg_key,
     subset_of,
@@ -32,7 +34,6 @@ from .segments import (
 from .automata import (
     Automaton,
     TransitionSystem,
-    _times_letter_in,
     articulation_states,
     closure,
     find_bijection,
@@ -46,9 +47,9 @@ class EnvelopeLattice:
 
     elements are closed under pairwise intersection, contain both base
     points x = A* and y = F, and are sorted by seg_key (build_envelope is the
-    only constructor); hasse holds the cover pairs (lower, upper)
-    under inclusion; t_f holds the triples (P, a, Q) with P.up(a) inside Q
-    and Q.up(bar a) inside P, which form a reflexive-involutive system.
+    only constructor); hasse holds the covers (lower, upper), read off the
+    meets; t_f holds the triples (P, a, Q) with P.up(a) inside Q and
+    Q.up(bar a) inside P, which form a reflexive-involutive system.
     """
 
     alphabet: Alphabet
@@ -86,35 +87,43 @@ def residual_closure(F: FinalSegment) -> set[FinalSegment]:
 
 @lru_cache(maxsize=None)
 def build_envelope(F: FinalSegment) -> EnvelopeLattice:
-    """Intersection closure of the residuals of F, with its transition set.
+    """Intersection closure of the residuals of F, with covers and transitions.
 
-    The resulting automaton from x = A* to y = F accepts exactly F; this is
-    re-checked on every construction.
+    The automaton from x = A* to y = F accepts exactly F; this is re-checked
+    on every construction.
     """
     if is_empty(F):
         raise ValueError("the empty segment has no envelope")
     A = F.alphabet
     residuals = list(residual_closure(F))
-    # every meet of residuals is reached by meeting one residual at a time
+    # P ∧ R = P exactly when P ⊆ R, so only the other residuals give meets
+    # below P; every meet of residuals is reached one residual at a time
+    below = {}
+
+    def meets_below(P):
+        below[P] = {intersect(P, R) for R in residuals if not subset_of(P, R)}
+        return below[P]
+
     # A* = F/w for any w in F, so it is already a residual
-    elements = closure(residuals, lambda G: [intersect(G, R) for R in residuals])
+    elements = closure(residuals, meets_below)
     ordered = tuple(sorted(elements, key=seg_key))
-    covers = set()
-    for P, Q in ((P, Q) for P in ordered for Q in ordered):
-        if P != Q and subset_of(P, Q):
-            if not any(
-                R != P and R != Q and subset_of(P, R) and subset_of(R, Q)
-                for R in ordered
-            ):
-                covers.add((P, Q))
+    # A lower cover C of P is the meet of the residuals holding it, one of
+    # which misses P (else P ⊆ C): so C = P ∧ R, a largest meet below P.
+    covers = frozenset(
+        (C, P)
+        for P, meets in below.items()
+        for C in meets
+        if not any(C != D and subset_of(C, D) for D in meets)
+    )
+    up = {a: canonicalize(A, [Word(A, (a,))]) for a in A.letters}
     trans = frozenset(
         (P, a, Q)
         for P in ordered
         for Q in ordered
         for a in A.letters
-        if _times_letter_in(P, a, Q) and _times_letter_in(Q, A.bar(a), P)
+        if product_in(P, up[a], Q) and product_in(Q, up[A.bar(a)], P)
     )
-    env = EnvelopeLattice(A, ordered, full_segment(A), F, frozenset(covers), trans)
+    env = EnvelopeLattice(A, ordered, full_segment(A), F, covers, trans)
     ok, witness = language_equals_segment(env.automaton(), F)
     if not ok:
         raise RuntimeError(f"envelope acceptor disagrees with F at {witness}")
@@ -206,35 +215,18 @@ def check_convexity(space) -> tuple[bool, list]:
 def no_proper_isometric_subspace(space) -> bool:
     """No distance-preserving map of the space into a proper subset exists.
 
-    Backtracking over all self-maps with distance-consistency pruning; a map
-    that preserves distances is injective (distinct points are at distance
-    other than A*), so the search is expected to fail, and quickly.
+    Such a map merges two points p and r, which then have equal distances to
+    and from every point: they are twins. Conversely, moving r onto a twin p
+    and fixing the rest preserves distances. So the test is whether the
+    (row, column) distance profiles tell all points apart; columns count too,
+    since a general pointed space need not be symmetric under the involution.
     """
     s = _pointed(space)
-    pts = list(s.points)
-    n = len(pts)
-    assign: dict = {}
-
-    def extend(i: int, image: frozenset) -> bool:
-        if i == n:
-            return len(image) < n
-        p = pts[i]
-        for q in pts:
-            if s.d[(q, q)] != s.d[(p, p)]:
-                continue
-            if any(
-                s.d[(q, assign[r])] != s.d[(p, r)]
-                or s.d[(assign[r], q)] != s.d[(r, p)]
-                for r in pts[:i]
-            ):
-                continue
-            assign[p] = q
-            if extend(i + 1, image | {q}):
-                return True
-            del assign[p]
-        return False
-
-    return not extend(0, frozenset())
+    profiles = {
+        (tuple(s.d[(p, z)] for z in s.points), tuple(s.d[(z, p)] for z in s.points))
+        for p in s.points
+    }
+    return len(profiles) == len(s.points)
 
 
 def concat_pointed(E1: PointedSpace, E2: PointedSpace) -> PointedSpace:

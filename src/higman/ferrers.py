@@ -9,7 +9,7 @@ states of a deterministic acceptor, must form a chain.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 from .words import Alphabet, Word, concat
 from .segments import FinalSegment, is_empty, subset_of
@@ -76,11 +76,13 @@ def is_ferrers_regular(machine) -> tuple[bool, tuple | None]:
 
 
 def is_linearly_orderable(env: EnvelopeLattice) -> bool:
-    """Whether the envelope elements form a chain under inclusion."""
-    return all(
-        subset_of(P, Q) or subset_of(Q, P)
-        for P, Q in combinations(env.elements, 2)
-    )
+    """Whether the envelope elements form a chain under inclusion.
+
+    Two incomparable elements close a cycle of covers through their meet and
+    join, so a finite lattice is a chain exactly when its covers form a
+    tree: one cover fewer than elements.
+    """
+    return len(env.hasse) == len(env.elements) - 1
 
 
 def check_ferrers_equivalence(F: FinalSegment) -> bool:

@@ -73,6 +73,11 @@ def subset_of(F: FinalSegment, G: FinalSegment) -> bool:
     return all(contains(G, u) for u in F.basis)
 
 
+def product_in(F: FinalSegment, G: FinalSegment, H: FinalSegment) -> bool:
+    """F·G ⊆ H. F·G is generated by the basis products, so they suffice."""
+    return all(contains(H, concat(u, v)) for u in F.basis for v in G.basis)
+
+
 def leq(F: FinalSegment, G: FinalSegment) -> bool:
     """G ⊆ F; this is F ≤ G in the reversed order where A* is least."""
     return subset_of(G, F)

@@ -1,10 +1,12 @@
 """Shared alphabets, the regression family, and an independent transition rule."""
 
+import random
 from itertools import combinations, product
 
 from higman.words import Alphabet, Word, concat, embeds, sort_key
 from higman.segments import FinalSegment, canonicalize, contains
 from higman.automata import TransitionSystem
+from higman.envelope import build_envelope
 
 
 def ab() -> Alphabet:
@@ -54,6 +56,15 @@ def regression_bases(alphabet=None, max_gens=3, max_len=3) -> list[FinalSegment]
                 # pool is canonically sorted, so combo is a canonical basis
                 out.append(FinalSegment(A, combo))
     return out
+
+
+def regression_envelopes() -> list:
+    """The envelopes of every nonempty a <= b regression basis and of forty
+    sampled nonempty a, b ones (seeded)."""
+    sampled = [F for F in regression_bases(ab()) if F.basis]
+    random.Random(31).shuffle(sampled)
+    ordered = [F for F in regression_bases(ab_ordered()) if F.basis]
+    return [build_envelope(F) for F in ordered + sampled[:40]]
 
 
 def times_letter_in(P: FinalSegment, a: str, Q: FinalSegment) -> bool:

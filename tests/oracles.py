@@ -123,3 +123,57 @@ def separating_word_oracle(dfa, s, t, bound: int):
             if accepted_from(s, syms) and not accepted_from(t, syms):
                 return Word(A, syms)
     return None
+
+
+def included(P, Q) -> bool:
+    """P ⊆ Q: every basis word of P lies above a basis word of Q."""
+    return all(member(Q.basis, u) for u in P.basis)
+
+
+def covers_oracle(elements) -> set:
+    """The pairs (C, P) with C strictly inside P and no element strictly
+    between them, from pairwise inclusion."""
+    inside = {
+        (C, P) for C in elements for P in elements if C != P and included(C, P)
+    }
+    return {
+        (C, P)
+        for C, P in inside
+        if not any((C, R) in inside and (R, P) in inside for R in elements)
+    }
+
+
+def is_chain_oracle(elements) -> bool:
+    """Every two elements are comparable under inclusion."""
+    return all(included(P, Q) or included(Q, P) for P, Q in combinations(elements, 2))
+
+
+def has_proper_isometric_self_map(points, d) -> bool:
+    """Try all n^n self-maps for one that keeps every distance d[(p, q)]
+    and misses a point."""
+    for image in product(points, repeat=len(points)):
+        f = dict(zip(points, image))
+        if len(set(image)) < len(points) and all(
+            d[(f[p], f[q])] == d[(p, q)] for p in points for q in points
+        ):
+            return True
+    return False
+
+
+def is_reflexive_involutive_oracle(ts) -> bool:
+    """The three saturation rules written out: a loop on every letter at
+    every state, the reversal (q, bar a, p) of every (p, a, q), and
+    (p, b, q) for every (p, a, q) and a <= b."""
+    A = ts.alphabet
+    T = ts.transitions
+    for q in ts.states:
+        for a in A.letters:
+            if (q, a, q) not in T:
+                return False
+    for p, a, q in T:
+        if (q, A.bar(a), p) not in T:
+            return False
+        for b in A.letters:
+            if A.leq(a, b) and (p, b, q) not in T:
+                return False
+    return True

@@ -25,6 +25,7 @@ from higman.automata import (
     minimal_dfa,
     saturate,
 )
+from higman.envelope import build_envelope
 
 from helpers import (
     ab,
@@ -32,9 +33,15 @@ from helpers import (
     abc_primed,
     nonempty_words,
     regression_bases,
+    regression_envelopes,
     tf_system,
 )
-from oracles import is_isomorphism, isomorphic_oracle, words_upto
+from oracles import (
+    is_isomorphism,
+    is_reflexive_involutive_oracle,
+    isomorphic_oracle,
+    words_upto,
+)
 
 
 def square_pair_elements(A):
@@ -117,6 +124,38 @@ class TestIsReflexiveInvolutive:
         ts = saturate(TransitionSystem(A, ("x", "y"), frozenset({("x", "a", "y")})))
         broken = TransitionSystem(A, ts.states, ts.transitions - {("y", "a'", "x")})
         assert not is_reflexive_involutive(broken)
+
+    def test_agrees_with_rule_oracle(self):
+        # saturated envelope systems, and copies missing one loop, one
+        # transition only its reversal implies, or one transition only the
+        # letter up-closure implies (removed with its reversal)
+        envs = regression_envelopes()
+        envs.append(build_envelope(segment(abc_primed(), "a[b']", "ba")))
+        kinds = {"loop": 0, "reversal": 0, "up-closure": 0}
+        for env in envs:
+            ts = env.transition_system()
+            A, T = ts.alphabet, ts.transitions
+            assert is_reflexive_involutive(ts) and is_reflexive_involutive_oracle(ts)
+            moves = sorted((t for t in T if t[0] != t[2]), key=repr)
+            below = {
+                (p, a, q): [c for c in A.letters if c != a and A.leq(c, a)]
+                for p, a, q in moves
+            }
+            removals = {"loop": {min((t for t in T if t[0] == t[2]), key=repr)}}
+            for p, a, q in moves:
+                if not any((p, c, q) in T for c in below[(p, a, q)]):
+                    removals["reversal"] = {(p, a, q)}
+                    break
+            for p, b, q in moves:
+                if any((p, c, q) in T for c in below[(p, b, q)]):
+                    removals["up-closure"] = {(p, b, q), (q, A.bar(b), p)}
+                    break
+            for kind, gone in removals.items():
+                broken = TransitionSystem(A, ts.states, T - gone)
+                assert not is_reflexive_involutive_oracle(broken)
+                assert not is_reflexive_involutive(broken), (kind, gone)
+                kinds[kind] += 1
+        assert min(kinds.values()) > 10, kinds
 
 
 class TestAccepts:

@@ -2,10 +2,12 @@
 
 The tracer wraps functions by module and name and the harness finds the
 caches by their cache_clear method, so a rename or a dropped cache breaks a
-traced benchmark run. These tests read perfbench/ and change nothing there.
+traced benchmark run. These tests read perfbench/ and change nothing there;
+the benchmark's own tests run as a subprocess.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,3 +79,14 @@ def test_layer_metrics_find_their_caches(bench, modules):
         assert name in found
     empty = {"spans": {}, "edges": [], "counts": {}}
     tracer.layer_metrics(empty, {name: (0, 0) for name in found})
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from higman.chainprod import ChainProduct
 from higman.cli import SpecError, load_spec, main, parse_problem_spec
 
 FIG1 = {"letters": ["a", "b"], "generators": ["aa", "bb"]}
@@ -250,6 +251,16 @@ class TestCountCommand:
         assert code == 3
         assert "cap exceeded" in err
 
+    def test_guard_comes_before_the_points(self, capsys, monkeypatch):
+        # the product has 10^10 points; listing them must not even start
+        def refuse(self):
+            raise AssertionError("points listed before the size check")
+
+        monkeypatch.setattr(ChainProduct, "points", property(refuse))
+        code, _, err = run(capsys, "count", "100000", "100000")
+        assert code == 3
+        assert "cap exceeded" in err
+
     def test_bad_dimension(self, capsys):
         code, _, err = run(capsys, "count", "0")
         assert code == 2
@@ -304,6 +315,14 @@ class TestTopLevelErrors:
         code, _, err = run(capsys, "envelope", str(path))
         assert code == 2
         assert err.startswith("spec error at /letters:")
+
+    def test_deep_nesting_is_a_spec_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "envelope", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("spec error at document root: invalid JSON")
 
     def test_root_pointer_spelled_out(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

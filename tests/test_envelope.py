@@ -30,7 +30,15 @@ from higman.envelope import (
     verify_sum_theorem,
 )
 
-from helpers import ab, ab_ordered, abc_primed, regression_bases, tf_system
+from helpers import (
+    ab,
+    ab_ordered,
+    abc_primed,
+    regression_bases,
+    regression_envelopes,
+    tf_system,
+)
+from oracles import covers_oracle, has_proper_isometric_self_map
 
 
 def square_pair_envelope():
@@ -130,6 +138,12 @@ class TestBuildEnvelope:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_envelope(empty_segment(ab()))
+
+
+class TestCovers:
+    def test_agree_with_pairwise_inclusion(self):
+        for env in regression_envelopes():
+            assert env.hasse == covers_oracle(env.elements)
 
 
 class TestDist:
@@ -244,6 +258,36 @@ class TestNoProperIsometricSubspace:
     def test_chain(self):
         A = ab()
         assert no_proper_isometric_subspace(build_envelope(segment(A, "ab")))
+
+    def test_agrees_with_self_map_search(self):
+        # seeded spaces of 1 to 5 points with asymmetric distances; in most,
+        # a point r copies the row of a point p, and in half of those also
+        # the column, which makes r and p twins
+        A = ab()
+        pool = [
+            full_segment(A),
+            segment(A, "a"),
+            segment(A, "b"),
+            segment(A, "ab"),
+            empty_segment(A),
+        ]
+        rng = random.Random(43)
+        verdicts = []
+        for _ in range(300):
+            points = tuple(range(rng.randint(1, 5)))
+            d = {(p, q): rng.choice(pool) for p in points for q in points}
+            if len(points) > 1 and rng.random() < 0.7:
+                p, r = rng.sample(points, 2)
+                for z in points:
+                    d[(r, z)] = d[(p, z)]
+                if rng.random() < 0.5:
+                    for z in points:
+                        d[(z, r)] = d[(z, p)]
+            space = PointedSpace(A, points, d, points[0], points[-1])
+            verdict = no_proper_isometric_subspace(space)
+            assert verdict == (not has_proper_isometric_self_map(points, d)), d
+            verdicts.append(verdict)
+        assert verdicts.count(True) > 50 and verdicts.count(False) > 50
 
 
 class TestConcatPointed:

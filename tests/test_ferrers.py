@@ -23,8 +23,15 @@ from higman.ferrers import (
     is_linearly_orderable,
     quadruple_sample_test,
 )
-from helpers import ab, ab_ordered, abc, nonempty_words, regression_bases
-from oracles import embeds_exhaustive, separating_word_oracle
+from helpers import (
+    ab,
+    ab_ordered,
+    abc,
+    nonempty_words,
+    regression_bases,
+    regression_envelopes,
+)
+from oracles import embeds_exhaustive, is_chain_oracle, separating_word_oracle
 
 
 def run_from(dfa: Dfa, state, w: Word) -> bool:
@@ -178,6 +185,13 @@ class TestLinearlyOrderable:
         assert is_linearly_orderable(build_envelope(segment(A, "ab")))
         assert not is_linearly_orderable(build_envelope(segment(A, "aa", "bb")))
         assert is_linearly_orderable(build_envelope(full_segment(A)))
+
+    def test_agrees_with_pairwise_inclusion(self):
+        verdicts = []
+        for env in regression_envelopes():
+            verdicts.append(is_linearly_orderable(env))
+            assert verdicts[-1] == is_chain_oracle(env.elements)
+        assert True in verdicts and False in verdicts
 
 
 class TestCheckEquivalence:
