@@ -25,6 +25,7 @@ from .segments import (
 )
 from .automata import closure
 from .envelope import EnvelopeLattice, build_envelope, letter_residuals
+from .minmax import CapExceeded
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def _up_masks(points) -> list[int]:
 
 def _valid_masks(product: ChainProduct):
     if math.prod(product.dims) > 20:
-        raise ValueError("chain product too large to enumerate")
+        raise CapExceeded("chain product too large to enumerate")
     points = product.points
     n = len(points)
     masks = _up_masks(points)

@@ -3,6 +3,9 @@
 Every reflexive-involutive acceptor of F with minimal state count is
 isomorphic to an induced subautomaton of the envelope automaton, so the
 search ranges over subsets of envelope elements containing both base points.
+The envelope automaton accepts exactly F, and inducing keeps the loops and
+the up-closed transitions, so each candidate accepts an up-closed part of F:
+it accepts all of F exactly when it accepts every basis word of F.
 """
 
 from __future__ import annotations
@@ -14,18 +17,17 @@ from .automata import (
     Automaton,
     TransitionSystem,
     accepts,
-    closure,
     isomorphic,
     language_equals_segment,
-    neighbours,
     saturate,
 )
 from .envelope import EnvelopeLattice, build_envelope
 from .minmax_pair import automaton_one, automaton_two, language
 
 
-class CapExceeded(Exception):
-    """The envelope is too large for the exponential subset search."""
+class CapExceeded(ValueError):
+    """The input is too large for an exhaustive enumeration: the subset
+    search here or the up-set scan of a chain product."""
 
 
 def _induced(env: EnvelopeLattice, subset: frozenset) -> Automaton:
@@ -37,23 +39,12 @@ def _induced(env: EnvelopeLattice, subset: frozenset) -> Automaton:
     return Automaton(system, frozenset({env.x}), frozenset({env.y}))
 
 
-def _connects(aut: Automaton) -> bool:
-    # x and y in one component of the non-loop transition graph
-    (x,) = aut.initial
-    (y,) = aut.final
-    return y in closure([x], neighbours(aut.system).__getitem__)
-
-
-def _covers(aut: Automaton, letters: set) -> bool:
-    # a basis-word letter consumed only on loops would shorten the word
-    present = {a for p, a, q in aut.system.transitions if p != q}
-    return letters <= present
-
-
 def search_minmax(F: FinalSegment, cap: int = 20):
     """All acceptors of F with the least state count and, among those, the
     most transitions, up to isomorphism, plus that (states, transitions)
-    pair. Induced subsets of the envelope are enumerated by size.
+    pair. Induced subsets of the envelope are enumerated by size, and a
+    subset is an acceptor of F exactly when it accepts every basis word of
+    F: it can accept nothing outside F, and its language is up-closed.
     """
     if is_empty(F):
         raise ValueError("no automaton accepts the empty segment")
@@ -61,20 +52,13 @@ def search_minmax(F: FinalSegment, cap: int = 20):
     n = len(env.elements)
     if n > cap:
         raise CapExceeded(f"envelope has {n} elements, cap is {cap}")
-    if env.x == env.y:
-        aut = _induced(env, frozenset({env.x}))
-        return [aut], (1, len(aut.system.transitions))
-    letters = {a for u in F.basis for a in u.symbols}
-    others = [P for P in env.elements if P != env.x and P != env.y]
-    for size in range(2, n + 1):
+    base = tuple(dict.fromkeys((env.x, env.y)))
+    others = [P for P in env.elements if P not in base]
+    for size in range(len(base), n + 1):
         found = []
-        for extra in combinations(others, size - 2):
-            subset = frozenset((env.x, env.y) + extra)
-            aut = _induced(env, subset)
-            if not _connects(aut) or not _covers(aut, letters):
-                continue
-            ok, _ = language_equals_segment(aut, F)
-            if ok:
+        for extra in combinations(others, size - len(base)):
+            aut = _induced(env, frozenset(base + extra))
+            if all(accepts(aut, u) for u in F.basis):
                 found.append(aut)
         if found:
             best = max(len(a.system.transitions) for a in found)

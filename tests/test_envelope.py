@@ -110,9 +110,11 @@ class TestBuildEnvelope:
         assert len(pairs) == 12
 
     def test_transitions_match_independent_rule(self):
-        A, env = square_pair_envelope()
-        assert env.t_f == tf_system(A, env.elements).transitions
-        assert is_reflexive_involutive(env.transition_system())
+        _, square = square_pair_envelope()
+        for env in [square] + regression_envelopes():
+            expected = tf_system(env.alphabet, env.elements).transitions
+            assert env.t_f == expected
+            assert is_reflexive_involutive(env.transition_system())
 
     def test_full_segment_collapses(self):
         A = ab()

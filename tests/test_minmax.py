@@ -1,5 +1,7 @@
 """Minmax search, the minmax predicate, and the non-isomorphic pair."""
 
+from itertools import combinations
+
 import pytest
 
 from higman.segments import empty_segment, full_segment, segment
@@ -13,6 +15,7 @@ from higman.automata import (
 from higman.envelope import build_envelope
 from higman.minmax import (
     CapExceeded,
+    _induced,
     is_minmax,
     reproduce_main_example,
     search_minmax,
@@ -23,7 +26,7 @@ from higman.minmax_pair import (
     automaton_two,
     language,
 )
-from helpers import ab
+from helpers import ab, regression_envelopes
 
 
 class TestSearchMinmax:
@@ -89,6 +92,25 @@ class TestSearchMinmax:
                 assert language_equals_segment(aut, F) == (True, None)
                 assert len(aut.system.states) == states
                 assert len(aut.system.transitions) == transitions
+
+    def test_basis_acceptance_decides_the_language(self):
+        # every candidate of the search on the small regression envelopes:
+        # both base points plus any set of other elements
+        verdicts = []
+        for env in regression_envelopes():
+            if len(env.elements) > 8:
+                continue
+            F = env.y
+            base = (env.x, env.y)
+            others = [P for P in env.elements if P not in base]
+            for k in range(len(others) + 1):
+                for extra in combinations(others, k):
+                    aut = _induced(env, frozenset(base + extra))
+                    by_basis = all(accepts(aut, u) for u in F.basis)
+                    assert by_basis == language_equals_segment(aut, F)[0]
+                    verdicts.append(by_basis)
+        assert len(verdicts) == 682
+        assert verdicts.count(True) == 86
 
 
 class TestIsMinmax:
