@@ -356,16 +356,6 @@ def find_bijection(order, candidates, agree) -> dict | None:
     return dict(mapping) if extend(0) else None
 
 
-def neighbours(ts: TransitionSystem) -> defaultdict:
-    """Adjacency sets of the undirected graph of the non-loop transitions."""
-    adj = defaultdict(set)
-    for p, _, q in ts.transitions:
-        if p != q:
-            adj[p].add(q)
-            adj[q].add(p)
-    return adj
-
-
 def articulation_states(ts: TransitionSystem, x, y) -> list:
     """States other than x, y whose removal disconnects x from y.
 
@@ -375,7 +365,11 @@ def articulation_states(ts: TransitionSystem, x, y) -> list:
     """
     if x == y:
         return []
-    adj = neighbours(ts)
+    adj = defaultdict(set)
+    for p, _, q in ts.transitions:
+        if p != q:
+            adj[p].add(q)
+            adj[q].add(p)
     order = {q: i for i, q in enumerate(closure([x], adj.__getitem__))}
     if y not in order:
         raise ValueError("x and y are not connected")
