@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .words import Alphabet, Word
 from .segments import (
@@ -46,6 +46,15 @@ class TransitionSystem:
                 raise ValueError(f"transition ({p!r}, {a!r}, {q!r}) uses unknown state")
             if a not in self.alphabet.index:
                 raise ValueError(f"transition letter {a!r} not in alphabet")
+
+    @cached_property
+    def _successors(self) -> dict:
+        """(state, letter) -> the states it reaches; built on first use and
+        kept out of the dataclass fields, so equality and hash ignore it."""
+        table = defaultdict(set)
+        for p, a, q in self.transitions:
+            table[(p, a)].add(q)
+        return table
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,8 @@ def is_reflexive_involutive(ts: TransitionSystem) -> bool:
 
 
 def _step(ts: TransitionSystem, states: frozenset, a: str) -> frozenset:
-    return frozenset(q for p, x, q in ts.transitions if p in states and x == a)
+    succ = ts._successors
+    return frozenset().union(*(succ.get((p, a), ()) for p in states))
 
 
 def accepts(aut: Automaton, w: Word) -> bool:

@@ -1,23 +1,28 @@
 """Injective envelope of the two-point space {x, y} with d(x, y) = F.
 
-The envelope S_F is realized as the intersection closure of the right
-residuals of F together with A*; its transition system over single letters
-is an acceptor of F. The distance between two elements is algebraic:
-d(P, Q) holds the words w with P.up(w) inside Q and Q.up(bar w) inside P.
-It equals the language of paths P -> Q in the transition system, which
-`higman verify` and the tests check against accepted_basis. Sums of pointed
-spaces and concatenation decomposition live here too.
+The envelope S_F is the concept lattice of a Galois context read off
+minimal_dfa(F). Its objects are the states of that automaton, the left
+quotients u^-1 F. A word u lies in the right residual F/w exactly when w lies
+in u^-1 F, so each residual is a set of objects, its column; an element is
+its extent, an AND of columns, and inclusion is bit inclusion. Every object is
+the quotient of some word, so distinct extents are distinct segments. The
+transition system over single letters is an acceptor of F. The distance
+between two elements is algebraic: d(P, Q) holds the words w with P.up(w)
+inside Q and Q.up(bar w) inside P. It equals the language of paths P -> Q in
+the transition system, which `higman verify` and the tests check against
+accepted_basis. Sums of pointed spaces and concatenation decomposition live
+here too.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .words import Alphabet, Word
 from .segments import (
     FinalSegment,
-    canonicalize,
     concat_seg,
     contains,
     full_segment,
@@ -26,10 +31,8 @@ from .segments import (
     is_empty,
     is_full,
     left_residual,
-    product_in,
     right_residual,
     seg_key,
-    subset_of,
 )
 from .automata import (
     Automaton,
@@ -38,6 +41,7 @@ from .automata import (
     closure,
     find_bijection,
     language_equals_segment,
+    minimal_dfa,
 )
 
 
@@ -87,42 +91,85 @@ def residual_closure(F: FinalSegment) -> set[FinalSegment]:
 
 @lru_cache(maxsize=None)
 def build_envelope(F: FinalSegment) -> EnvelopeLattice:
-    """Intersection closure of the residuals of F, with covers and transitions.
+    """The envelope of F, built on bitmasks over the states of minimal_dfa(F).
 
-    The automaton from x = A* to y = F accepts exactly F; this is re-checked
-    on every construction.
+    Bit i stands for state i. The columns, the right residuals as object
+    masks, are the accepting mask closed under pre_a(E) = {L : delta(L, a) in
+    E}, since F/(aw) = (F/w)/a; they are walked with letter_residuals, so each
+    keeps its residual segment. The extents are the columns closed under "AND
+    with a column"; all ones is x = A* and the accepting mask is y = F.
+    Each extent that is not a column gets its segment form, which display,
+    export and dist read, from one intersect: a parent extent's segment with
+    a column's residual, taking the pair with the fewest basis pairs. The lower
+    covers of an extent are the largest of its meets with the columns not
+    above it, and (P, a, Q) is a transition iff E_P lies inside pre_a(E_Q) and
+    E_Q inside pre_{bar a}(E_P): two bit tests. The automaton from x = A* to
+    y = F accepts exactly F; this is re-checked on every construction.
     """
     if is_empty(F):
         raise ValueError("the empty segment has no envelope")
     A = F.alphabet
-    residuals = list(residual_closure(F))
-    # P ∧ R = P exactly when P ⊆ R, so only the other residuals give meets
-    # below P; every meet of residuals is reached one residual at a time
+    dfa = minimal_dfa(F)
+    index = {L: i for i, L in enumerate(dfa.states)}
+    succ = {a: [index[dfa.delta[(L, a)]] for L in dfa.states] for a in A.letters}
+
+    def pre(a, E):
+        return sum(1 << i for i, j in enumerate(succ[a]) if E >> j & 1)
+
+    accepting = sum(1 << index[L] for L in dfa.accepting)
+    # the residual F/w as the mask of the quotients holding w; F = F/ε
+    columns = {
+        E: R
+        for R, E in closure(
+            [(F, accepting)],
+            lambda c: zip(letter_residuals(c[0]), (pre(a, c[1]) for a in A.letters)),
+        )
+    }
     below = {}
+    ways = defaultdict(list)
 
-    def meets_below(P):
-        below[P] = {intersect(P, R) for R in residuals if not subset_of(P, R)}
-        return below[P]
+    def meets_below(E):
+        # E ∧ C = E exactly when E ⊆ C, so only the other columns give meets
+        # below E; every AND of columns is reached one column at a time
+        meets = below[E] = set()
+        for C in columns:
+            M = E & C
+            if M != E:
+                meets.add(M)
+                ways[M].append((E, C))
+        return meets
 
-    # A* = F/w for any w in F, so it is already a residual
-    elements = closure(residuals, meets_below)
-    ordered = tuple(sorted(elements, key=seg_key))
-    # A lower cover C of P is the meet of the residuals holding it, one of
-    # which misses P (else P ⊆ C): so C = P ∧ R, a largest meet below P.
+    # all ones is a column: A* = F/w for any w in F
+    extents = closure(columns, meets_below)
+    segment_of = dict(columns)
+
+    def cost(way):
+        E, C = way
+        return len(segment_of[E].basis) * len(columns[C].basis)
+
+    # one intersect per new extent, from the way with the fewest basis pairs;
+    # its parent holds more objects, so it already has its segment form
+    for M in sorted(extents, key=lambda M: -M.bit_count()):
+        if M not in segment_of:
+            E, C = min(ways[M], key=cost)
+            segment_of[M] = intersect(segment_of[E], columns[C])
+    # A lower cover C of E is the AND of the columns holding it, one of which
+    # misses E (else E ⊆ C): so C = E ∧ column, a largest meet below E.
     covers = frozenset(
-        (C, P)
-        for P, meets in below.items()
-        for C in meets
-        if not any(C != D and subset_of(C, D) for D in meets)
+        (segment_of[M], segment_of[E])
+        for E, meets in below.items()
+        for M in meets
+        if not any(M != D and M & D == M for D in meets)
     )
-    up = {a: canonicalize(A, [Word(A, (a,))]) for a in A.letters}
+    pres = {(a, E): pre(a, E) for a in A.letters for E in extents}
     trans = frozenset(
-        (P, a, Q)
-        for P in ordered
-        for Q in ordered
+        (segment_of[P], a, segment_of[Q])
+        for P in extents
         for a in A.letters
-        if product_in(P, up[a], Q) and product_in(Q, up[A.bar(a)], P)
+        for Q in extents
+        if P & pres[(a, Q)] == P and Q & pres[(A.bar(a), P)] == Q
     )
+    ordered = tuple(sorted(segment_of.values(), key=seg_key))
     env = EnvelopeLattice(A, ordered, full_segment(A), F, covers, trans)
     ok, witness = language_equals_segment(env.automaton(), F)
     if not ok:

@@ -110,7 +110,7 @@ class Alphabet:
         return Word(self, tuple(symbols))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Alphabet)
             and self.letters == other.letters
             and self._leq == other._leq

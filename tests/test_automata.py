@@ -13,6 +13,7 @@ from higman.segments import (
 from higman.automata import (
     Automaton,
     TransitionSystem,
+    _step,
     accepted_basis,
     accepts,
     articulation_states,
@@ -178,6 +179,59 @@ class TestAccepts:
         aut = Automaton(ts, frozenset({top}), frozenset({low}))
         with pytest.raises(ValueError):
             accepts(aut, abc_primed().word("a"))
+
+
+def scan_step(ts, states, a):
+    """The states one a-transition away, by scanning every transition."""
+    return frozenset(q for p, x, q in ts.transitions if p in states and x == a)
+
+
+def scan_accepts(aut, w):
+    current = aut.initial
+    for a in w.symbols:
+        current = scan_step(aut.system, current, a)
+    return bool(current & aut.final)
+
+
+class TestIndexedStep:
+    def systems(self):
+        rng = random.Random(19)
+        for env in regression_envelopes():
+            yield env.automaton()
+        # string states, saturated or not, some states without successors
+        for A in (ab(), ab_ordered(), abc_primed()):
+            for _ in range(4):
+                aut = random_saturated_automaton(A, rng, n_states=4, density=0.2)
+                yield aut
+                bare = TransitionSystem(
+                    A,
+                    aut.system.states,
+                    frozenset(t for t in aut.system.transitions if rng.random() < 0.3),
+                )
+                yield Automaton(bare, aut.initial, aut.final)
+
+    def test_agrees_with_transition_scan(self):
+        rng = random.Random(7)
+        for aut in self.systems():
+            ts = aut.system
+            A = ts.alphabet
+            subsets = [frozenset(), frozenset(ts.states)] + [
+                frozenset({q}) for q in ts.states
+            ] + [frozenset(rng.sample(ts.states, len(ts.states) // 2)) for _ in range(3)]
+            for S in subsets:
+                for a in A.letters:
+                    assert _step(ts, S, a) == scan_step(ts, S, a)
+            for w in words_upto(A, 3 if len(A.letters) == 2 else 2):
+                assert accepts(aut, w) == scan_accepts(aut, w), w
+
+    def test_table_leaves_equality_and_hash(self):
+        env = build_envelope(segment(ab(), "aa", "bb"))
+        one = env.transition_system()
+        other = TransitionSystem(one.alphabet, one.states, one.transitions)
+        _step(one, frozenset({env.x}), "a")
+        assert "_successors" in vars(one) and "_successors" not in vars(other)
+        assert one == other and hash(one) == hash(other)
+        assert {one: 1}[other] == 1
 
 
 class TestAcceptedBasis:

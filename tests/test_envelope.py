@@ -1,10 +1,13 @@
 import random
 from functools import reduce
 from itertools import combinations
+from math import comb
 
 import pytest
 
+from higman.words import Word
 from higman.segments import (
+    canonicalize,
     concat_seg,
     contains,
     empty_segment,
@@ -13,7 +16,12 @@ from higman.segments import (
     segment,
     subset_of,
 )
-from higman.automata import Automaton, accepted_basis, is_reflexive_involutive
+from higman.automata import (
+    Automaton,
+    accepted_basis,
+    accepts,
+    is_reflexive_involutive,
+)
 from higman.envelope import (
     PointedSpace,
     algebra_distance,
@@ -33,17 +41,67 @@ from higman.envelope import (
 from helpers import (
     ab,
     ab_ordered,
+    abc,
     abc_primed,
     regression_bases,
     regression_envelopes,
     tf_system,
 )
-from oracles import covers_oracle, has_proper_isometric_self_map
+from oracles import (
+    covers_oracle,
+    has_proper_isometric_self_map,
+    included,
+    member,
+    words_upto,
+)
 
 
 def square_pair_envelope():
     A = ab()
     return A, build_envelope(segment(A, "aa", "bb"))
+
+
+def sampled_meet_closure(F, sample) -> set:
+    """The AND-closure, with the all-ones vector, of the membership vectors
+    over sample of the right residuals F/w, by exhaustive embedding.
+
+    Residuals are found breadth-first by prepending letters to w, keeping
+    each w whose vector is new; a residual whose vector repeats one already
+    found is taken to be that residual, so sample must tell residuals apart.
+    """
+    A = F.alphabet
+    in_F = {}
+
+    def vector(w):
+        out = []
+        for u in sample:
+            uw = u.symbols + w
+            if uw not in in_F:
+                in_F[uw] = member(F.basis, Word(A, uw))
+            out.append(in_F[uw])
+        return tuple(out)
+
+    found = {vector(()): ()}
+    frontier = [()]
+    while frontier:
+        frontier = [
+            (a,) + w for w in frontier for a in A.letters
+            if found.setdefault(vector((a,) + w), (a,) + w) == (a,) + w
+        ]
+    closed = {(True,) * len(sample)} | set(found)
+    while True:
+        more = {tuple(map(min, p, q)) for p in closed for q in closed} - closed
+        if not more:
+            return closed
+        closed |= more
+
+
+def check_meet_closure(env, sample):
+    """env.elements, as membership vectors over sample, are pairwise distinct
+    and form the sampled meet closure of the residuals of F."""
+    vectors = [tuple(member(P.basis, u) for u in sample) for P in env.elements]
+    assert len(set(vectors)) == len(env.elements)
+    assert set(vectors) == sampled_meet_closure(env.y, sample)
 
 
 def path_language(ts, P, Q):
@@ -115,6 +173,42 @@ class TestBuildEnvelope:
             expected = tf_system(env.alphabet, env.elements).transitions
             assert env.t_f == expected
             assert is_reflexive_involutive(env.transition_system())
+
+    def test_elements_are_the_meet_closure_of_sampled_residuals(self):
+        cases = regression_envelopes() + [build_envelope(segment(abc(), "aa", "bb", "cc"))]
+        assert len(cases) == 82
+        for env in cases:
+            check_meet_closure(env, words_upto(env.alphabet, 3))
+
+    def test_meet_closure_and_inclusion_on_drawn_antichains(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(
+            max_examples=40, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(
+            st.sampled_from([ab(), ab_ordered()]),
+            st.lists(st.text("ab", min_size=1, max_size=4), min_size=1, max_size=3),
+        )
+        def check(A, texts):
+            env = build_envelope(canonicalize(A, [A.word(t) for t in texts]))
+            check_meet_closure(env, words_upto(A, 4))
+            for P in env.elements:
+                for Q in env.elements:
+                    assert subset_of(P, Q) == included(P, Q)
+
+        check()
+
+    def test_four_letter_square_pair(self):
+        A = ab()
+        F = segment(A, "aaaa", "bbbb")
+        env = build_envelope(F)
+        assert len(env.elements) == comb(8, 4)
+        assert env.t_f == tf_system(A, env.elements).transitions
+        aut = env.automaton()
+        for w in words_upto(A, 6):
+            assert accepts(aut, w) == member(F.basis, w), w
 
     def test_full_segment_collapses(self):
         A = ab()
