@@ -6,6 +6,10 @@ search ranges over subsets of envelope elements containing both base points.
 The envelope automaton accepts exactly F, and inducing keeps the loops and
 the up-closed transitions, so each candidate accepts an up-closed part of F:
 it accepts all of F exactly when it accepts every basis word of F.
+
+A candidate is a bitmask over the envelope's elements, decided by running
+F's basis words on successor masks; only the winners become Automaton
+objects, for the isomorphism dedupe (see search_minmax).
 """
 
 from __future__ import annotations
@@ -39,12 +43,28 @@ def _induced(env: EnvelopeLattice, subset: frozenset) -> Automaton:
     return Automaton(system, frozenset({env.x}), frozenset({env.y}))
 
 
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def search_minmax(F: FinalSegment, cap: int = 20):
     """All acceptors of F with the least state count and, among those, the
     most transitions, up to isomorphism, plus that (states, transitions)
     pair. Induced subsets of the envelope are enumerated by size, and a
     subset is an acceptor of F exactly when it accepts every basis word of
     F: it can accept nothing outside F, and its language is up-closed.
+
+    Bit i of a candidate S stands for env.elements[i]. succ[a][i] is the
+    mask of the elements that element i reaches by letter a in the envelope,
+    so the induced subautomaton on S moves a state set cur to the union of
+    succ[a][i] over i in cur, AND S. A basis word is run from x's bit and
+    accepted when the last set holds y's bit; the transitions induced on S
+    number the popcounts of succ[a][i] & S over i in S. Subsets come in
+    `combinations` order, and only those with the most transitions are
+    built as automata.
     """
     if is_empty(F):
         raise ValueError("no automaton accepts the empty segment")
@@ -52,21 +72,47 @@ def search_minmax(F: FinalSegment, cap: int = 20):
     n = len(env.elements)
     if n > cap:
         raise CapExceeded(f"envelope has {n} elements, cap is {cap}")
-    base = tuple(dict.fromkeys((env.x, env.y)))
-    others = [P for P in env.elements if P not in base]
-    for size in range(len(base), n + 1):
+    position = {P: i for i, P in enumerate(env.elements)}
+    succ = {a: [0] * n for a in env.alphabet.letters}
+    for P, a, Q in env.t_f:
+        succ[a][position[P]] |= 1 << position[Q]
+    rows = list(succ.values())
+    x, y = 1 << position[env.x], 1 << position[env.y]
+    words = [[succ[a] for a in u.symbols] for u in F.basis]
+
+    def accepts_basis(S):
+        for word in words:
+            cur = x
+            for row in word:
+                step = 0
+                for i in _bits(cur):
+                    step |= row[i]
+                cur = step & S
+                if not cur:
+                    return False
+            if not cur & y:
+                return False
+        return True
+
+    def transitions(S):
+        return sum((row[i] & S).bit_count() for i in _bits(S) for row in rows)
+
+    base = x | y
+    k = base.bit_count()
+    others = [1 << i for i in range(n) if not base >> i & 1]
+    for size in range(k, n + 1):
         found = []
-        for extra in combinations(others, size - len(base)):
-            aut = _induced(env, frozenset(base + extra))
-            if all(accepts(aut, u) for u in F.basis):
-                found.append(aut)
+        for extra in combinations(others, size - k):
+            S = base | sum(extra)
+            if accepts_basis(S):
+                found.append((S, transitions(S)))
         if found:
-            best = max(len(a.system.transitions) for a in found)
-            winners = [
-                a for a in found if len(a.system.transitions) == best
-            ]
+            best = max(t for _, t in found)
             reps = []
-            for aut in winners:
+            for S, t in found:
+                if t != best:
+                    continue
+                aut = _induced(env, frozenset(env.elements[i] for i in _bits(S)))
                 if not any(isomorphic(aut, r)[0] for r in reps):
                     reps.append(aut)
             return reps, (size, best)

@@ -175,13 +175,14 @@ def embeds(u: Word, v: Word) -> bool:
     because taking the leftmost match leaves maximal room to the right.
     """
     _check_same_alphabet(u, v)
-    return _matched_prefix_len(u.alphabet, u.symbols, v.symbols) == len(u.symbols)
+    return _matched_prefix_len(u.alphabet._leq, u.symbols, v.symbols) == len(u.symbols)
 
 
-def _matched_prefix_len(A: Alphabet, u: tuple, v: tuple) -> int:
+def _matched_prefix_len(leq: frozenset, u, v) -> int:
+    # leq holds the pairs (a, b) with a <= b, of letters or of letter codes
     i = 0
     for b in v:
-        if i < len(u) and A.leq(u[i], b):
+        if i < len(u) and (u[i], b) in leq:
             i += 1
     return i
 
@@ -193,14 +194,14 @@ def max_embeddable_prefix(u: Word, w: Word) -> tuple[Word, Word]:
     match count is exactly the longest embeddable prefix.
     """
     _check_same_alphabet(u, w)
-    k = _matched_prefix_len(u.alphabet, u.symbols, w.symbols)
+    k = _matched_prefix_len(u.alphabet._leq, u.symbols, w.symbols)
     return Word(u.alphabet, u.symbols[:k]), Word(u.alphabet, u.symbols[k:])
 
 
 def max_embeddable_suffix(u: Word, w: Word) -> tuple[Word, Word]:
     """Split u = u'u'' with u'' the longest suffix of u embedding in w."""
     _check_same_alphabet(u, w)
-    k = _matched_prefix_len(u.alphabet, u.symbols[::-1], w.symbols[::-1])
+    k = _matched_prefix_len(u.alphabet._leq, u.symbols[::-1], w.symbols[::-1])
     n = len(u.symbols)
     return Word(u.alphabet, u.symbols[:n - k]), Word(u.alphabet, u.symbols[n - k:])
 
@@ -220,53 +221,64 @@ def minimal_words(words) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def _minimal_tuples(A: Alphabet, tuples: set) -> set:
+@lru_cache(maxsize=None)
+def _letter_codes(A: Alphabet) -> tuple:
+    """Letter i written as chr(i), with the letter order and the minimal
+    upper bounds of letter pairs carried over to the codes."""
+    code = {a: chr(i) for i, a in enumerate(A.letters)}
+    leq = frozenset((code[a], code[b]) for a, b in A._leq)
+    mubs = {
+        (code[a], code[b]): "".join(code[c] for c in cs)
+        for (a, b), cs in A._letter_mubs.items()
+    }
+    return code, leq, mubs
+
+
+def _minimal_merges(leq: frozenset, words: set) -> set:
     return {
         t
-        for t in tuples
-        if not any(s != t and _matched_prefix_len(A, s, t) == len(s) for s in tuples)
+        for t in words
+        if not any(s != t and _matched_prefix_len(leq, s, t) == len(s) for s in words)
     }
 
 
 @lru_cache(maxsize=None)
 def _mub_tuples(u: Word, v: Word) -> frozenset:
-    A = u.alphabet
-    us, vs = u.symbols, v.symbols
-    memo: dict[tuple[int, int], set] = {}
-
-    def go(i: int, j: int) -> set:
-        key = (i, j)
-        if key in memo:
-            return memo[key]
-        if i == len(us):
-            res = {vs[j:]}
-        elif j == len(vs):
-            res = {us[i:]}
-        else:
-            out = set()
-            for t in go(i + 1, j):
-                out.add((us[i],) + t)
-            for t in go(i, j + 1):
-                out.add((vs[j],) + t)
-            for c in A.letter_mubs(us[i], vs[j]):
-                for t in go(i + 1, j + 1):
-                    out.add((c,) + t)
-            res = _minimal_tuples(A, out)
-        memo[key] = res
-        return res
-
-    return frozenset(go(0, 0))
+    code, leq, mubs = _letter_codes(u.alphabet)
+    # words as strings of letter codes, which are cheap to extend and hash
+    us = "".join(code[a] for a in u.symbols)
+    vs = "".join(code[a] for a in v.symbols)
+    n = len(vs)
+    # below[j] holds the minimal merges of us[i + 1:] and vs[j:]; row i reads
+    # only itself and row i + 1, so the rows are filled from the ends
+    below = [{vs[j:]} for j in range(n + 1)]
+    for i in range(len(us) - 1, -1, -1):
+        row = [None] * n + [{us[i:]}]
+        for j in range(n - 1, -1, -1):
+            su, sv = us[i:], vs[j:]
+            if su.startswith(sv) or sv.startswith(su):
+                # one suffix is a prefix of the other, so it embeds in it
+                row[j] = {max(su, sv, key=len)}
+                continue
+            out = {us[i] + t for t in below[j]}
+            out.update(vs[j] + t for t in row[j + 1])
+            for c in mubs[us[i], vs[j]]:
+                out.update(c + t for t in below[j + 1])
+            row[j] = _minimal_merges(leq, out)
+        below = row
+    letters = u.alphabet.letters
+    return frozenset(tuple(letters[ord(c)] for c in w) for w in below[0])
 
 
 def min_upper_bounds(u: Word, v: Word) -> set[Word]:
     """Minimal words above both u and v; the basis of the up-set intersection.
 
-    Recursive merge on suffix pairs: at each step consume the head of u, the
-    head of v, or a minimal common upper bound of the two heads (when the
-    letter poset provides one), minimizing at every level. Every common upper
-    bound of u and v lies above some returned word, and no returned word
-    exceeds |u| + |v| letters. Letter heads without a common upper bound
-    simply contribute no superposed branch.
+    Merge on suffix pairs, filled from the ends: at each step consume the
+    head of u, the head of v, or a minimal common upper bound of the two
+    heads (when the letter poset provides one), minimizing at every level.
+    Every common upper bound of u and v lies above some returned word, and
+    no returned word exceeds |u| + |v| letters. Letter heads without a
+    common upper bound simply contribute no superposed branch.
     """
     _check_same_alphabet(u, v)
     if sort_key(v) < sort_key(u):

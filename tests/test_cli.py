@@ -1,5 +1,6 @@
 """CLI: spec parsing with located errors, commands, exit codes, exports."""
 
+import contextlib
 import io
 import json
 import os
@@ -338,6 +339,53 @@ class TestTopLevelErrors:
         _, first, _ = run(capsys, "envelope", path)
         _, second, _ = run(capsys, "envelope", path)
         assert first == second
+
+    def test_fuzzed_spec_files_exit_cleanly(self, tmp_path):
+        """Random JSON documents, spec-shaped or not, in a spec file: every
+        command run on them exits 0, 2 or 3 and prints no traceback."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        text = st.text("ab[]", max_size=3)
+        values = st.recursive(
+            st.none() | st.booleans() | st.integers(-2, 2) | text,
+            lambda kids: st.lists(kids, max_size=3)
+            | st.dictionaries(text, kids, max_size=3),
+            max_leaves=8,
+        )
+        letter = st.sampled_from(["a", "b", "c", "ab"])
+        fields = {
+            "letters": st.lists(letter, min_size=1, max_size=3, unique=True),
+            # words over a and b alone keep every envelope small
+            "generators": st.lists(st.text("ab", max_size=3), max_size=3),
+        }
+        extras = {
+            "spec_version": st.just(1),
+            "order": st.lists(st.lists(letter, min_size=2, max_size=2), max_size=2),
+            "involution": st.dictionaries(letter, letter, max_size=2),
+        }
+        specs = st.fixed_dictionaries(fields, optional=extras)
+        garbled = st.fixed_dictionaries(
+            {}, optional={k: v | values for k, v in {**fields, **extras}.items()}
+        )
+        documents = (specs | garbled | values).map(json.dumps) | st.text(max_size=12)
+        commands = st.sampled_from(
+            [["envelope"], ["ferrers"], ["decompose"], ["mindfa"], ["minmax", "--cap", "4"]]
+        )
+        path = tmp_path / "fuzz.json"
+
+        @hypothesis.settings(
+            max_examples=300, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(documents, commands)
+        def check(document, command):
+            path.write_text(document, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(command[:1] + [str(path)] + command[1:])
+            assert code in (0, 2, 3), (document, command, code)
+            assert "Traceback" not in err.getvalue()
+
+        check()
 
 
 def test_module_entry_point(tmp_path):

@@ -27,6 +27,34 @@ from higman.minmax_pair import (
     language,
 )
 from helpers import ab, regression_envelopes
+from oracles import isomorphic_oracle
+
+
+def reference_minmax(env):
+    """The minmax search from its definition: every induced subautomaton
+    holding both base points, by size, judged by the full language check;
+    the winners have the most transitions and are told apart with the
+    brute-force isomorphism oracle."""
+    F = env.y
+    base = tuple(dict.fromkeys((env.x, env.y)))
+    others = [P for P in env.elements if P not in base]
+    for size in range(len(base), len(env.elements) + 1):
+        found = [
+            aut
+            for extra in combinations(others, size - len(base))
+            for aut in [_induced(env, frozenset(base + extra))]
+            if language_equals_segment(aut, F)[0]
+        ]
+        if found:
+            best = max(len(a.system.transitions) for a in found)
+            reps = []
+            for aut in found:
+                if len(aut.system.transitions) == best and not any(
+                    isomorphic_oracle(aut, r) for r in reps
+                ):
+                    reps.append(aut)
+            return reps, (size, best)
+    raise AssertionError("the envelope automaton accepts F")
 
 
 class TestSearchMinmax:
@@ -111,6 +139,21 @@ class TestSearchMinmax:
                     verdicts.append(by_basis)
         assert len(verdicts) == 682
         assert verdicts.count(True) == 86
+
+
+    def test_agrees_with_the_reference_search(self):
+        checked = 0
+        for env in regression_envelopes():
+            if len(env.elements) > 10:
+                continue
+            results, sizes = search_minmax(env.y)
+            reps, ref_sizes = reference_minmax(env)
+            assert sizes == ref_sizes, env.y
+            assert len(results) == len(reps), env.y
+            for aut in results:
+                assert sum(isomorphic_oracle(aut, r) for r in reps) == 1, env.y
+            checked += 1
+        assert checked == 76
 
 
 class TestIsMinmax:

@@ -22,10 +22,10 @@ from higman.segments import (
     subset_of,
     union,
 )
-from higman.words import concat, embeds
+from higman.words import concat, embeds, involute
 
 from helpers import ab, ab_ordered, nonempty_words, abc_primed
-from oracles import concat_member, member, words_upto
+from oracles import concat_member, included, member, words_upto
 
 
 class TestCanonicalize:
@@ -200,6 +200,44 @@ def test_residuation_law():
         assert subset_of(concat_seg(R, segment(A, str(y))), F)
         L = left_residual(y, F)
         assert subset_of(concat_seg(segment(A, str(y)), L), F)
+
+
+def test_residuation_and_involution_on_drawn_antichains():
+    """F.up(w) lies inside G iff F lies inside G/w, and the involution
+    reverses concatenation; every segment involved is also checked
+    pointwise against the oracles on the words of up to 4 letters."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    antichain = st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=3)
+
+    @hypothesis.settings(
+        max_examples=60, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(
+        st.sampled_from([ab(), ab_ordered()]),
+        antichain,
+        antichain,
+        st.text("ab", max_size=3),
+    )
+    def check(A, f_texts, g_texts, w_text):
+        F = canonicalize(A, [A.word(t) for t in f_texts])
+        G = canonicalize(A, [A.word(t) for t in g_texts])
+        w = A.word(w_text)
+        Fw = concat_seg(F, canonicalize(A, [w]))
+        Gw = right_residual(G, w)
+        FG = concat_seg(F, G)
+        assert subset_of(Fw, G) == subset_of(F, Gw) == included(Fw, G)
+        assert subset_of(F, Gw) == included(F, Gw)
+        assert involute_seg(FG) == concat_seg(involute_seg(G), involute_seg(F))
+        for v in words_upto(A, 4):
+            assert contains(Fw, v) == concat_member(F.basis, [w], v)
+            assert contains(Gw, v) == member(G.basis, concat(v, w))
+            assert contains(FG, v) == concat_member(F.basis, G.basis, v)
+            assert contains(involute_seg(FG), v) == concat_member(
+                F.basis, G.basis, involute(v)
+            )
+
+    check()
 
 
 def test_residual_antitone_in_word():

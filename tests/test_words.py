@@ -244,6 +244,12 @@ class TestMinUpperBounds:
         A = ab_ordered()
         assert min_upper_bounds(A.word("a"), A.word("b")) == {A.word("b")}
 
+    def test_long_words_stay_off_the_recursion_limit(self):
+        A = ab()
+        long = A.word("a" * 600)
+        assert min_upper_bounds(long, long) == {long}
+        assert min_upper_bounds(long, A.word("a" * 599)) == {long}
+
     @pytest.mark.parametrize("make", [ab, ab_ordered])
     def test_complete_and_antichain(self, make):
         A = make()
