@@ -44,7 +44,6 @@ from .automata import (
     is_reflexive_involutive,
     isomorphic,
     language_equals_segment,
-    min_dfa_morphism,
     minimal_dfa,
     saturate,
 )
@@ -59,6 +58,7 @@ from .envelope import (
     decompose,
     dist,
     metric_form_pair,
+    min_dfa_morphism,
     no_proper_isometric_subspace,
     pointed_isometric,
     residual_closure,

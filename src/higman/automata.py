@@ -17,16 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .words import Alphabet, Word
-from .segments import (
-    FinalSegment,
-    canonicalize,
-    full_segment,
-    intersect,
-    is_full,
-    left_residual,
-    product_in,
-    right_residual,
-)
+from .segments import FinalSegment, canonicalize, is_full, left_residual
 
 
 @dataclass(frozen=True)
@@ -250,50 +241,6 @@ def language_equals_segment(
     if w is not None:
         return False, w
     return True, None
-
-
-def min_dfa_morphism(F: FinalSegment, env=None) -> dict:
-    """Map each left-residual state Y to the intersection of right residuals
-    of F by the basis words of Y.
-
-    Basis words suffice because right residuals grow with the word; the map
-    sends the start state F to A*, the accepting state A* to F, and every
-    transition (Y, a, a^-1 Y) to a transition (i(Y), a, i(a^-1 Y)) of the
-    acceptor built on the envelope (both defining inclusions are checked
-    here directly). With env given, images are also required to be envelope
-    elements.
-    """
-    if not F.basis:
-        raise ValueError("no morphism for the empty segment")
-    A = F.alphabet
-    dfa = minimal_dfa(F)
-    up = {a: canonicalize(A, [Word(A, (a,))]) for a in A.letters}
-    image = {}
-    for Y in dfa.states:
-        G = full_segment(A)
-        for b in Y.basis:
-            G = intersect(G, right_residual(F, b))
-        image[Y] = G
-    if image[F] != full_segment(A):
-        raise RuntimeError("morphism image of the start state is not A*")
-    if image[full_segment(A)] != F:
-        raise RuntimeError("morphism image of the accepting state is not F")
-    for (Y, a), Y2 in dfa.delta.items():
-        P, Q = image[Y], image[Y2]
-        if not product_in(P, up[a], Q) or not product_in(Q, up[A.bar(a)], P):
-            raise RuntimeError(
-                f"transition ({Y!r}, {a!r}) does not map to an envelope transition"
-            )
-    if env is not None:
-        elements = set(env.elements)
-        for Y, G in image.items():
-            if G not in elements:
-                raise RuntimeError(f"morphism image {G!r} is not an envelope element")
-        edges = env.t_f
-        for (Y, a), Y2 in dfa.delta.items():
-            if (image[Y], a, image[Y2]) not in edges:
-                raise RuntimeError("morphism transition missing from envelope system")
-    return image
 
 
 def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:

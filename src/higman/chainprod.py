@@ -3,28 +3,22 @@ an envelope into them.
 
 Final segments of a product of chains n_0 x ... x n_{k-1} are antichains of
 minimal tuples. The map phi sends envelope elements to such up-sets by
-intersecting tuple-tagged residuals; psi maps up-sets back by intersecting
-segments generated by generator prefixes. For generators of one common length
-with pairwise disjoint downsets, phi is a bijection onto all up-sets.
+intersecting tuple-tagged residuals, read as the envelope's column masks;
+psi maps up-sets back by intersecting segments generated by generator
+prefixes. For generators of one common length with pairwise disjoint
+downsets, phi is a bijection onto all up-sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iter_product
 
 from .words import Word, embeds, max_embeddable_prefix, max_embeddable_suffix
-from .segments import (
-    FinalSegment,
-    canonicalize,
-    full_segment,
-    intersect,
-    subset_of,
-)
+from .segments import FinalSegment, canonicalize, full_segment, intersect
 from .automata import closure
-from .envelope import EnvelopeLattice, build_envelope, letter_residuals
+from .envelope import EnvelopeLattice, build_envelope
 from .minmax import CapExceeded
 
 
@@ -172,28 +166,27 @@ def tuple_of_word(generators, v: Word) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
-def _residual_tuples(F: FinalSegment, generators: tuple) -> frozenset:
-    """All achievable pairs (right residual of F by v, tuple_of_word(v)).
+def _residual_tuples(env: EnvelopeLattice, generators: tuple) -> list:
+    """All achievable pairs (column of the right residual of F by v,
+    tuple_of_word(v)), with F = env.y and columns from env.context.
 
-    Breadth search by prepending letters: the residual steps by a single
-    right residual, and each greedy suffix match advances by at most one.
+    Breadth search by prepending letters: the column steps by pre_a, since
+    F/(av) = (F/v)/a, and each greedy suffix match advances by at most one.
     """
-    A = F.alphabet
+    A = env.alphabet
+    _, pre, _ = env.context
     dims = tuple(len(u.symbols) for u in generators)
 
     def step(state):
-        G, sigma = state
-        for a, H in zip(A.letters, letter_residuals(G)):
-            yield H, tuple(
+        E, sigma = state
+        for a in A.letters:
+            yield pre(a, E), tuple(
                 s + 1 if s < n and A.leq(u.symbols[n - 1 - s], a) else s
                 for s, n, u in zip(sigma, dims, generators)
             )
 
-    seen = closure([(F, (0,) * len(generators))], step)
-    return frozenset(
-        (G, tuple(n - s for s, n in zip(sigma, dims))) for G, sigma in seen
-    )
+    seen = closure([(env.extent[env.y], (0,) * len(generators))], step)
+    return [(E, tuple(n - s for s, n in zip(sigma, dims))) for E, sigma in seen]
 
 
 def _tau(product: ChainProduct, t) -> UpSet:
@@ -213,19 +206,20 @@ def phi(env: EnvelopeLattice, X: FinalSegment, generators=None) -> UpSet:
     """Image of an envelope element in the up-set lattice of the chain
     product of generator lengths.
 
-    Intersects tau over all residual-tagged tuples whose residual contains X;
-    tau depends on a word only through its tuple, so ranging over residual
-    states covers all words.
+    Intersects tau over all column-tagged tuples whose residual contains X,
+    that is, whose column holds the extent of X; tau depends on a word only
+    through its tuple, so ranging over columns covers all words.
     """
     gens = tuple(generators) if generators is not None else env.y.basis
     if not gens or any(not u.symbols for u in gens):
         raise ValueError("phi needs nonempty generator words")
-    if X not in env.elements:
+    if X not in env.extent:
         raise ValueError("phi argument must be an envelope element")
+    E_X = env.extent[X]
     product = ChainProduct(tuple(len(u.symbols) for u in gens))
     result = full_up_set(product)
-    for G, t in _residual_tuples(env.y, gens):
-        if subset_of(X, G):
+    for E, t in _residual_tuples(env, gens):
+        if E_X & E == E_X:
             result = intersect_upsets(result, _tau(product, t))
     return result
 

@@ -38,7 +38,6 @@ from .automata import (
     Automaton,
     accepted_basis,
     language_equals_segment,
-    min_dfa_morphism,
     minimal_dfa,
 )
 from .envelope import (
@@ -49,6 +48,7 @@ from .envelope import (
     decompose,
     dist,
     metric_form_pair,
+    min_dfa_morphism,
     no_proper_isometric_subspace,
     verify_sum_theorem,
 )

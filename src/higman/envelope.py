@@ -10,15 +10,16 @@ transition system over single letters is an acceptor of F. The distance
 between two elements is algebraic: d(P, Q) holds the words w with P.up(w)
 inside Q and Q.up(bar w) inside P. It equals the language of paths P -> Q in
 the transition system, which `higman verify` and the tests check against
-accepted_basis. Sums of pointed spaces and concatenation decomposition live
-here too.
+accepted_basis. The morphism from minimal_dfa(F) into the envelope, sums of
+pointed spaces and concatenation decomposition live here too.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from operator import and_
 
 from .words import Alphabet, Word
 from .segments import (
@@ -53,7 +54,9 @@ class EnvelopeLattice:
     points x = A* and y = F, and are sorted by seg_key (build_envelope is the
     only constructor); hasse holds the covers (lower, upper), read off the
     meets; t_f holds the triples (P, a, Q) with P.up(a) inside Q and
-    Q.up(bar a) inside P, which form a reflexive-involutive system.
+    Q.up(bar a) inside P, which form a reflexive-involutive system. extent
+    maps each element to its bitmask and context is galois_context(y); both
+    are left out of equality, hashing and repr.
     """
 
     alphabet: Alphabet
@@ -62,6 +65,8 @@ class EnvelopeLattice:
     y: FinalSegment
     hasse: frozenset
     t_f: frozenset
+    extent: dict = field(compare=False, repr=False)
+    context: tuple = field(compare=False, repr=False)
 
     def transition_system(self) -> TransitionSystem:
         return TransitionSystem(self.alphabet, self.elements, self.t_f)
@@ -72,32 +77,53 @@ class EnvelopeLattice:
         )
 
 
-def letter_residuals(G: FinalSegment) -> list[FinalSegment]:
-    """The right residuals of G by each single letter, in letter order."""
-    A = G.alphabet
-    return [right_residual(G, Word(A, (a,))) for a in A.letters]
+def galois_context(F: FinalSegment) -> tuple:
+    """The Galois context of F on the states of minimal_dfa(F), from the one
+    walk of F's right residuals.
+
+    Returns (index, pre, columns). index numbers the states, the left
+    quotients u^-1 F, as bits; pre(a, E) = {L : delta(L, a) in E} on masks.
+    A word u lies in F/w exactly when w lies in u^-1 F, so the residual F/w
+    is its column, the mask of the quotients holding w; columns maps each
+    column to its residual, in breadth-first order from F = F/ε by single
+    letters, stepping by F/(aw) = (F/w)/a and pre_a at once. Every quotient
+    is reached, so inclusion of residuals is inclusion of columns.
+    """
+    A = F.alphabet
+    dfa = minimal_dfa(F)
+    index = {L: i for i, L in enumerate(dfa.states)}
+    succ = {a: [index[dfa.delta[(L, a)]] for L in dfa.states] for a in A.letters}
+
+    def pre(a, E):
+        return sum(1 << i for i, j in enumerate(succ[a]) if E >> j & 1)
+
+    def step(column):
+        R, E = column
+        return [(right_residual(R, Word(A, (a,))), pre(a, E)) for a in A.letters]
+
+    accepting = sum(1 << index[L] for L in dfa.accepting)
+    columns = {E: R for R, E in closure([(F, accepting)], step)}
+    return index, pre, columns
 
 
 def residual_closure(F: FinalSegment) -> set[FinalSegment]:
-    """Least set containing F closed under right residuals by single letters.
+    """Least set containing F closed under right residuals by single letters:
+    the residuals of the columns of galois_context(F).
 
     Iterating single letters reaches every right residual of F, and the
     residuals of a final segment form a finite set.
     """
     if is_empty(F):
         raise ValueError("the empty segment has no residual closure")
-    return set(closure([F], letter_residuals))
+    return set(galois_context(F)[2].values())
 
 
 @lru_cache(maxsize=None)
 def build_envelope(F: FinalSegment) -> EnvelopeLattice:
-    """The envelope of F, built on bitmasks over the states of minimal_dfa(F).
+    """The envelope of F, built on the bitmasks of galois_context(F).
 
-    Bit i stands for state i. The columns, the right residuals as object
-    masks, are the accepting mask closed under pre_a(E) = {L : delta(L, a) in
-    E}, since F/(aw) = (F/w)/a; they are walked with letter_residuals, so each
-    keeps its residual segment. The extents are the columns closed under "AND
-    with a column"; all ones is x = A* and the accepting mask is y = F.
+    The extents are the columns closed under "AND with a column"; all ones is
+    x = A* and the accepting mask is y = F.
     Each extent that is not a column gets its segment form, which display,
     export and dist read, from one intersect: a parent extent's segment with
     a column's residual, taking the pair with the fewest basis pairs. The lower
@@ -109,22 +135,8 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     if is_empty(F):
         raise ValueError("the empty segment has no envelope")
     A = F.alphabet
-    dfa = minimal_dfa(F)
-    index = {L: i for i, L in enumerate(dfa.states)}
-    succ = {a: [index[dfa.delta[(L, a)]] for L in dfa.states] for a in A.letters}
-
-    def pre(a, E):
-        return sum(1 << i for i, j in enumerate(succ[a]) if E >> j & 1)
-
-    accepting = sum(1 << index[L] for L in dfa.accepting)
-    # the residual F/w as the mask of the quotients holding w; F = F/ε
-    columns = {
-        E: R
-        for R, E in closure(
-            [(F, accepting)],
-            lambda c: zip(letter_residuals(c[0]), (pre(a, c[1]) for a in A.letters)),
-        )
-    }
+    context = galois_context(F)
+    _, pre, columns = context
     below = {}
     ways = defaultdict(list)
 
@@ -170,11 +182,45 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
         if P & pres[(a, Q)] == P and Q & pres[(A.bar(a), P)] == Q
     )
     ordered = tuple(sorted(segment_of.values(), key=seg_key))
-    env = EnvelopeLattice(A, ordered, full_segment(A), F, covers, trans)
+    extent = {P: E for E, P in segment_of.items()}
+    env = EnvelopeLattice(
+        A, ordered, full_segment(A), F, covers, trans, extent, context
+    )
     ok, witness = language_equals_segment(env.automaton(), F)
     if not ok:
         raise RuntimeError(f"envelope acceptor disagrees with F at {witness}")
     return env
+
+
+def min_dfa_morphism(F: FinalSegment, env: EnvelopeLattice | None = None) -> dict:
+    """Map each state of minimal_dfa(F), a left quotient L, to its object
+    concept in the envelope env of F (build_envelope(F) by default): the
+    element whose extent is the AND of the columns holding L.
+
+    It is the intersection of the right residuals of F by the words of L.
+    The map sends the start state F to x = A*, the accepting state A* to
+    y = F, and every transition (L, a, a^-1 L) to a transition of env; all
+    three are checked here.
+    """
+    if is_empty(F):
+        raise ValueError("no morphism for the empty segment")
+    env = build_envelope(F) if env is None else env
+    if env.y != F:
+        raise ValueError("the envelope was built for another segment")
+    index, _, columns = env.context
+    element = {E: P for P, E in env.extent.items()}
+    image = {}
+    for L, i in index.items():
+        M = reduce(and_, (C for C in columns if C >> i & 1))
+        if M not in element:
+            raise RuntimeError(f"morphism image of {L!r} is not an envelope element")
+        image[L] = element[M]
+    if image[F] != env.x or image[full_segment(F.alphabet)] != env.y:
+        raise RuntimeError("morphism does not send start to x and accepting to y")
+    for (L, a), L2 in minimal_dfa(F).delta.items():
+        if (image[L], a, image[L2]) not in env.t_f:
+            raise RuntimeError("morphism transition missing from envelope system")
+    return image
 
 
 @lru_cache(maxsize=None)
@@ -184,8 +230,7 @@ def dist(env: EnvelopeLattice, P: FinalSegment, Q: FinalSegment) -> FinalSegment
     It equals the language of paths P -> Q in the envelope's transition
     system; `higman verify` and the tests check this with accepted_basis.
     """
-    members = set(env.elements)
-    if P not in members or Q not in members:
+    if P not in env.extent or Q not in env.extent:
         raise ValueError("dist arguments must be envelope elements")
     return algebra_distance(P, Q)
 

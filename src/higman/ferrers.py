@@ -2,7 +2,8 @@
 
 A language L is Ferrers when xx' in L and yy' in L force xy' in L or
 yx' in L. For a final segment this is equivalent to the right residuals
-forming a chain under inclusion, and to the envelope being linearly
+forming a chain under inclusion, read off the column masks of the Galois
+context that the envelope is built on, and to the envelope being linearly
 ordered; for a regular language the left quotients, i.e. the reachable
 states of a deterministic acceptor, must form a chain.
 """
@@ -12,24 +13,27 @@ from __future__ import annotations
 from itertools import product
 
 from .words import Alphabet, Word, concat
-from .segments import FinalSegment, is_empty, subset_of
+from .segments import FinalSegment, is_empty
 from .automata import Automaton, Dfa, _step, closure, shortest_word
-from .envelope import EnvelopeLattice, build_envelope, letter_residuals
+from .envelope import EnvelopeLattice, build_envelope, galois_context
 
 
 def is_ferrers_segment(F: FinalSegment) -> tuple[bool, tuple | None]:
     """Whether the right residuals of F form a chain under inclusion.
 
-    Walks the residual closure breadth-first by single letters; the witness
-    pairs the first residual found incomparable with an earlier one.
+    Reads the columns of galois_context(F), whose bit inclusion is residual
+    inclusion, in their breadth-first order by single letters; the witness
+    pairs the first residual found incomparable with an earlier one. The
+    envelope itself is not built.
     """
     if is_empty(F):
         return True, None
-    residuals = closure([F], letter_residuals)
-    for i, H in enumerate(residuals):
-        for S in residuals[:i]:
-            if not subset_of(H, S) and not subset_of(S, H):
-                return False, (H, S)
+    residuals = galois_context(F)[2]
+    masks = list(residuals)
+    for i, H in enumerate(masks):
+        for S in masks[:i]:
+            if H & S not in (H, S):
+                return False, (residuals[H], residuals[S])
     return True, None
 
 

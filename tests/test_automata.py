@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -7,7 +8,9 @@ from higman.segments import (
     contains,
     empty_segment,
     full_segment,
+    intersect,
     involute_seg,
+    right_residual,
     segment,
 )
 from higman.automata import (
@@ -22,11 +25,10 @@ from higman.automata import (
     is_reflexive_involutive,
     isomorphic,
     language_equals_segment,
-    min_dfa_morphism,
     minimal_dfa,
     saturate,
 )
-from higman.envelope import build_envelope
+from higman.envelope import build_envelope, min_dfa_morphism
 
 from helpers import (
     ab,
@@ -36,6 +38,7 @@ from helpers import (
     regression_bases,
     regression_envelopes,
     tf_system,
+    times_letter_in,
 )
 from oracles import (
     is_isomorphism,
@@ -346,6 +349,34 @@ class TestMinDfaMorphism:
         A = ab()
         with pytest.raises(ValueError):
             min_dfa_morphism(empty_segment(A))
+
+    def test_envelope_of_another_segment_rejected(self):
+        A = ab()
+        texts = [("a",), ("ab",), ("aa", "bb"), ("ab", "ba"), ("",)]
+        specs = [segment(A, *t) for t in texts]
+        for F in specs:
+            for G in specs:
+                if F != G:
+                    with pytest.raises(ValueError):
+                        min_dfa_morphism(F, build_envelope(G))
+
+    def test_images_match_residual_intersections(self):
+        # the segment-algebra definition of the map, with both inclusions of
+        # every image edge restated independently
+        for env in regression_envelopes():
+            F = env.y
+            A = F.alphabet
+            dfa = minimal_dfa(F)
+            image = min_dfa_morphism(F, env)
+            for Y in dfa.states:
+                assert image[Y] == reduce(
+                    intersect,
+                    (right_residual(F, b) for b in Y.basis),
+                    full_segment(A),
+                )
+            for (Y, a), Y2 in dfa.delta.items():
+                assert times_letter_in(image[Y], a, image[Y2])
+                assert times_letter_in(image[Y2], A.bar(a), image[Y])
 
     def test_verifies_on_samples(self):
         for A in (ab(), ab_ordered(), abc_primed()):

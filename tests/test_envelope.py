@@ -236,6 +236,26 @@ class TestBuildEnvelope:
             build_envelope(empty_segment(ab()))
 
 
+class TestExtents:
+    def test_left_out_of_equality_hash_and_repr(self):
+        F = segment(ab(), "aa", "bb")
+        first = build_envelope(F)
+        build_envelope.cache_clear()
+        second = build_envelope(F)
+        assert second is not first
+        assert second == first
+        assert hash(second) == hash(first)
+        assert repr(second) == repr(first)
+
+    def test_bit_inclusion_is_segment_inclusion(self):
+        for env in regression_envelopes():
+            assert set(env.extent) == set(env.elements)
+            for P in env.elements:
+                for Q in env.elements:
+                    E, G = env.extent[P], env.extent[Q]
+                    assert (E & G == E) == included(P, Q)
+
+
 class TestCovers:
     def test_agree_with_pairwise_inclusion(self):
         for env in regression_envelopes():

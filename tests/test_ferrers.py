@@ -7,6 +7,7 @@ import pytest
 
 from higman.words import Alphabet, Word, concat
 from higman.segments import (
+    FinalSegment,
     concat_seg,
     contains,
     empty_segment,
@@ -27,11 +28,17 @@ from helpers import (
     ab,
     ab_ordered,
     abc,
+    abc_primed,
     nonempty_words,
     regression_bases,
     regression_envelopes,
 )
-from oracles import embeds_exhaustive, is_chain_oracle, separating_word_oracle
+from oracles import (
+    embeds_exhaustive,
+    included,
+    is_chain_oracle,
+    separating_word_oracle,
+)
 
 
 def run_from(dfa: Dfa, state, w: Word) -> bool:
@@ -69,7 +76,57 @@ def exact_ab_dfa() -> Dfa:
     return Dfa(A, ("s0", "s1", "s2", "dead"), "s0", frozenset({"s2"}), delta)
 
 
+def same_segment(P, Q) -> bool:
+    return included(P, Q) and included(Q, P)
+
+
+def ferrers_reference(F):
+    """Right residuals walked breadth-first by single letters from the
+    definition, compared by oracle inclusion: xa lies above a generator u
+    iff x lies above u, or u = u'c with c <= a and x lies above u'."""
+    A = F.alphabet
+    found = [F]
+    for R in found:  # the list grows while it is read: a FIFO queue
+        for a in A.letters:
+            S = FinalSegment(A, tuple(
+                Word(A, u.symbols[:-1])
+                if u.symbols and A.leq(u.symbols[-1], a) else u
+                for u in R.basis
+            ))
+            if not any(same_segment(S, T) for T in found):
+                found.append(S)
+    for i, H in enumerate(found):
+        for S in found[:i]:
+            if not included(H, S) and not included(S, H):
+                return False, (H, S)
+    return True, None
+
+
 class TestFerrersSegment:
+    def test_matches_reference_walk(self):
+        specs = (
+            regression_bases(ab())
+            + regression_bases(ab_ordered())
+            + regression_bases(abc_primed(), max_gens=2, max_len=2)
+            + [segment(abc(), "aaa", "bbb", "ccc")]
+        )
+        for F in specs:
+            ok, witness = is_ferrers_segment(F)
+            ref_ok, ref_witness = ferrers_reference(F)
+            assert ok == ref_ok, F
+            if not ok:
+                assert all(map(same_segment, witness, ref_witness)), F
+
+    def test_three_cubes_without_the_envelope(self):
+        A = abc()
+        misses = build_envelope.cache_info().misses
+        ok, witness = is_ferrers_segment(segment(A, "aaa", "bbb", "ccc"))
+        assert not ok
+        assert witness == (
+            segment(A, "bb", "aaa", "ccc"), segment(A, "aa", "bbb", "ccc")
+        )
+        assert build_envelope.cache_info().misses == misses
+
     def test_two_squares_witness(self):
         A = ab()
         ok, witness = is_ferrers_segment(segment(A, "aa", "bb"))
