@@ -202,15 +202,15 @@ def _tau(product: ChainProduct, t) -> UpSet:
     )
 
 
-def phi(env: EnvelopeLattice, X: FinalSegment, generators=None) -> UpSet:
+def phi(env: EnvelopeLattice, X: FinalSegment) -> UpSet:
     """Image of an envelope element in the up-set lattice of the chain
-    product of generator lengths.
+    product of the lengths of env.y's generators.
 
     Intersects tau over all column-tagged tuples whose residual contains X,
     that is, whose column holds the extent of X; tau depends on a word only
     through its tuple, so ranging over columns covers all words.
     """
-    gens = tuple(generators) if generators is not None else env.y.basis
+    gens = env.y.basis
     if not gens or any(not u.symbols for u in gens):
         raise ValueError("phi needs nonempty generator words")
     if X not in env.extent:

@@ -48,8 +48,8 @@ def alphabet6() -> Alphabet:
     )
 
 
-def language(alphabet: Alphabet | None = None) -> FinalSegment:
-    A = alphabet or alphabet6()
+def language() -> FinalSegment:
+    A = alphabet6()
     texts = ("ab", "ac", "ba", "bc", "ca", "cb")
     return canonicalize(A, [A.word(t) for t in texts])
 

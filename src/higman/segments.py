@@ -15,6 +15,7 @@ from functools import lru_cache
 from .words import (
     Alphabet,
     Word,
+    _check_same_alphabet,
     concat,
     embeds,
     involute,
@@ -81,11 +82,6 @@ def product_in(F: FinalSegment, G: FinalSegment, H: FinalSegment) -> bool:
 def leq(F: FinalSegment, G: FinalSegment) -> bool:
     """G ⊆ F; this is F ≤ G in the reversed order where A* is least."""
     return subset_of(G, F)
-
-
-def _check_same_alphabet(F: FinalSegment, G: FinalSegment) -> None:
-    if F.alphabet != G.alphabet:
-        raise ValueError("segments over different alphabets")
 
 
 def union(F: FinalSegment, G: FinalSegment) -> FinalSegment:

@@ -69,12 +69,8 @@ class Alphabet:
         # Minimal common upper bounds of letter pairs, precomputed.
         self._letter_mubs: dict[tuple[str, str], tuple[str, ...]] = {}
         for a, b in product(self.letters, repeat=2):
-            ups = [c for c in self.letters if self.leq(a, c) and self.leq(b, c)]
-            mins = tuple(
-                c for c in ups
-                if not any(d != c and self.leq(d, c) for d in ups)
-            )
-            self._letter_mubs[(a, b)] = mins
+            ups = [(c,) for c in self.letters if self.leq(a, c) and self.leq(b, c)]
+            self._letter_mubs[(a, b)] = tuple(c for (c,) in _minimal(self._leq, ups))
 
         self._hash = hash((self.letters, self._leq, tuple(sorted(bar.items()))))
 
@@ -151,9 +147,9 @@ def sort_key(w: Word) -> tuple:
     return (len(w.symbols), tuple(w.alphabet.index[a] for a in w.symbols))
 
 
-def _check_same_alphabet(u: Word, v: Word) -> None:
+def _check_same_alphabet(u, v) -> None:
     if u.alphabet != v.alphabet:
-        raise ValueError("words from different alphabets")
+        raise ValueError("operands over different alphabets")
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -187,6 +183,25 @@ def _matched_prefix_len(leq: frozenset, u, v) -> int:
     return i
 
 
+def _minimal(leq: frozenset, seqs) -> list:
+    """The minimal ones of distinct letter sequences under embedding, tested
+    shortest first against those kept: a shorter one, or one of the same
+    length lying letterwise below, which needs two related letters in leq."""
+    related = any(a != b for a, b in leq)
+    kept, start = [], 0  # kept[start:] have the length at hand
+    for s in sorted(seqs, key=len):
+        n = len(s)
+        if kept and len(kept[-1]) < n:
+            start = len(kept)
+        below = kept if related else kept[:start]
+        if any(_matched_prefix_len(leq, t, s) == len(t) for t in below):
+            continue
+        if related:  # kept ones of its length above s are no longer minimal
+            kept[start:] = [t for t in kept[start:] if _matched_prefix_len(leq, s, t) < n]
+        kept.append(s)
+    return kept
+
+
 def max_embeddable_prefix(u: Word, w: Word) -> tuple[Word, Word]:
     """Split u = u'u'' with u' the longest prefix of u embedding in w.
 
@@ -207,18 +222,13 @@ def max_embeddable_suffix(u: Word, w: Word) -> tuple[Word, Word]:
 
 
 def minimal_words(words) -> tuple[Word, ...]:
-    """The antichain of minimal elements of a set of words, canonically sorted.
-
-    Membership is checked against the whole set: w survives iff no other word
-    of the set embeds in it, which is order-independent (embeds is a partial
-    order, so equal-but-distinct dominators cannot occur).
-    """
-    pool = sorted(set(words), key=sort_key)
-    out = [
-        w for w in pool
-        if not any(v != w and embeds(v, w) for v in pool)
-    ]
-    return tuple(out)
+    """The minimal words of a set of words over one alphabet, by sort_key."""
+    words = list(words)
+    for w in words:
+        _check_same_alphabet(words[0], w)
+    pool = {w.symbols: w for w in words}
+    kept = _minimal(words[0].alphabet._leq, pool) if words else ()
+    return tuple(sorted((pool[s] for s in kept), key=sort_key))
 
 
 @lru_cache(maxsize=None)
@@ -232,14 +242,6 @@ def _letter_codes(A: Alphabet) -> tuple:
         for (a, b), cs in A._letter_mubs.items()
     }
     return code, leq, mubs
-
-
-def _minimal_merges(leq: frozenset, words: set) -> set:
-    return {
-        t
-        for t in words
-        if not any(s != t and _matched_prefix_len(leq, s, t) == len(s) for s in words)
-    }
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +266,7 @@ def _mub_tuples(u: Word, v: Word) -> frozenset:
             out.update(vs[j] + t for t in row[j + 1])
             for c in mubs[us[i], vs[j]]:
                 out.update(c + t for t in below[j + 1])
-            row[j] = _minimal_merges(leq, out)
+            row[j] = _minimal(leq, out)
         below = row
     letters = u.alphabet.letters
     return frozenset(tuple(letters[ord(c)] for c in w) for w in below[0])
@@ -273,12 +275,9 @@ def _mub_tuples(u: Word, v: Word) -> frozenset:
 def min_upper_bounds(u: Word, v: Word) -> set[Word]:
     """Minimal words above both u and v; the basis of the up-set intersection.
 
-    Merge on suffix pairs, filled from the ends: at each step consume the
-    head of u, the head of v, or a minimal common upper bound of the two
-    heads (when the letter poset provides one), minimizing at every level.
-    Every common upper bound of u and v lies above some returned word, and
-    no returned word exceeds |u| + |v| letters. Letter heads without a
-    common upper bound simply contribute no superposed branch.
+    Merge on suffix pairs, filled from the ends: at each step consume the head
+    of u, the head of v, or a minimal upper bound of both heads, and keep each
+    pair's minimal merges (`_minimal`); none exceeds |u| + |v| letters.
     """
     _check_same_alphabet(u, v)
     if sort_key(v) < sort_key(u):

@@ -1,6 +1,7 @@
 """Alphabet validation, the embedding order, splits, and minimal upper bounds."""
 
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +17,8 @@ from higman.words import (
     minimal_words,
     sort_key,
 )
+
+from higman.segments import canonicalize
 
 from helpers import ab, ab_ordered, abc_primed
 from oracles import embeds_exhaustive, words_upto
@@ -236,6 +239,16 @@ class TestMinUpperBounds:
             A.word(t) for t in ["aabb", "abab", "abba", "baab", "baba", "bbaa"]
         }
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_shuffles_of_powers(self, n):
+        """Incomparable letters: the C(2n, n) shuffles, all of one length."""
+        A = ab()
+        shuffles = {
+            A.word("".join("a" if i in pos else "b" for i in range(2 * n)))
+            for pos in combinations(range(2 * n), n)
+        }
+        assert min_upper_bounds(A.word("a" * n), A.word("b" * n)) == shuffles
+
     def test_equal_words(self):
         A = ab()
         assert min_upper_bounds(A.word("a"), A.word("a")) == {A.word("a")}
@@ -280,3 +293,34 @@ class TestMinimalWords:
         A = ab()
         ws = [A.word("ba"), A.word("b"), A.word("aa")]
         assert minimal_words(ws) == (A.word("b"), A.word("aa"))
+
+    @pytest.mark.parametrize(
+        "make",
+        [ab, ab_ordered, lambda: Alphabet(["b", "a"], order=[("a", "b")])],
+        ids=["ab", "a<=b", "ba with a<=b"],
+    )
+    def test_agrees_with_all_pairs_filter(self, make):
+        """Seeded draws against the definition, by exhaustive embedding. In
+        the last alphabet letter indices run against the order, so a word
+        must displace a kept word of its own length."""
+        A = make()
+        rng = random.Random(9)
+        for _ in range(400):
+            ws = [
+                Word(A, tuple(rng.choice(A.letters) for _ in range(rng.randint(0, 4))))
+                for _ in range(rng.randint(1, 12))
+            ]
+            pool = set(ws)
+            expected = [
+                w for w in pool
+                if not any(v != w and embeds_exhaustive(v, w) for v in pool)
+            ]
+            assert minimal_words(ws) == tuple(sorted(expected, key=sort_key))
+
+    def test_mixed_alphabets_rejected(self):
+        u, v = ab().word("ab"), ab_ordered().word("b")
+        for words in ([u, v], [v, v, u]):
+            with pytest.raises(ValueError, match="different alphabets"):
+                minimal_words(words)
+            with pytest.raises(ValueError, match="different alphabets"):
+                canonicalize(ab(), words)
