@@ -3,6 +3,8 @@
 Systems can be saturated (every letter loops everywhere, transitions close
 under involution-reversal and letter up-closure); saturated systems accept
 up-closed languages, whose finite bases are extracted by shortest-word search.
+Every walk reads a system's one index: state sets are bitmasks over the
+positions of its states, stepped by one successor mask per (position, letter).
 The minimal deterministic automaton of a final segment is its left-residual
 closure. Two searches serve the machine layer: closure() walks everything
 reachable, shortest_word() finds the length-lexicographically least word
@@ -12,7 +14,7 @@ isomorphism.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -22,30 +24,35 @@ from .segments import FinalSegment, canonicalize, is_full, left_residual
 
 @dataclass(frozen=True)
 class TransitionSystem:
-    """States with labeled transitions (state, letter, state)."""
+    """States with labeled transitions (state, letter, state). The index
+    (_index, _successors, _mask) is built on first use, outside the fields."""
 
     alphabet: Alphabet
     states: tuple
     transitions: frozenset
 
     def __post_init__(self):
-        state_set = set(self.states)
-        if len(state_set) != len(self.states):
+        if len(self._index) != len(self.states):
             raise ValueError("duplicate states")
         for p, a, q in self.transitions:
-            if p not in state_set or q not in state_set:
+            if p not in self._index or q not in self._index:
                 raise ValueError(f"transition ({p!r}, {a!r}, {q!r}) uses unknown state")
             if a not in self.alphabet.index:
                 raise ValueError(f"transition letter {a!r} not in alphabet")
 
     @cached_property
+    def _index(self) -> dict:
+        return {q: i for i, q in enumerate(self.states)}
+
+    @cached_property
     def _successors(self) -> dict:
-        """(state, letter) -> the states it reaches; built on first use and
-        kept out of the dataclass fields, so equality and hash ignore it."""
-        table = defaultdict(set)
+        table = {a: [0] * len(self.states) for a in self.alphabet.letters}
         for p, a, q in self.transitions:
-            table[(p, a)].add(q)
+            table[a][self._index[p]] |= 1 << self._index[q]
         return table
+
+    def _mask(self, states) -> int:
+        return sum(1 << self._index[q] for q in states)
 
 
 @dataclass(frozen=True)
@@ -55,8 +62,8 @@ class Automaton:
     final: frozenset
 
     def __post_init__(self):
-        state_set = set(self.system.states)
-        if not self.initial <= state_set or not self.final <= state_set:
+        index = self.system._index.keys()
+        if not self.initial <= index or not self.final <= index:
             raise ValueError("initial/final states must be system states")
 
 
@@ -131,29 +138,41 @@ def saturate(ts: TransitionSystem) -> TransitionSystem:
 
 def is_reflexive_involutive(ts: TransitionSystem) -> bool:
     """Whether saturate would add nothing: every loop and every implied
-    transition is present."""
+    transition is present, as bit tests on position triples (i, a, j)."""
     A = ts.alphabet
-    T = ts.transitions
-    return all((q, a, q) in T for q in ts.states for a in A.letters) and all(
-        u in T for t in T for u in _implied(A, t)
-    )
-
-
-def _step(ts: TransitionSystem, states: frozenset, a: str) -> frozenset:
     succ = ts._successors
-    return frozenset().union(*(succ.get((p, a), ()) for p in states))
+    n = len(ts.states)
+    held = [(i, a, j) for a in A.letters for i in range(n) for j in _bits(succ[a][i])]
+    needed = [(i, a, i) for i in range(n) for a in A.letters]
+    needed += [u for t in held for u in _implied(A, t)]
+    return all(succ[a][i] >> j & 1 for i, a, j in needed)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _step(ts: TransitionSystem, mask: int, a: str) -> int:
+    """The mask of the states one a-transition away from the states in mask."""
+    row = ts._successors[a]
+    out = 0
+    for i in _bits(mask):
+        out |= row[i]
+    return out
 
 
 def accepts(aut: Automaton, w: Word) -> bool:
-    """Nondeterministic state-set simulation."""
-    if w.alphabet != aut.system.alphabet:
+    """Nondeterministic state-set simulation on masks."""
+    ts = aut.system
+    if w.alphabet != ts.alphabet:
         raise ValueError("word alphabet differs from automaton alphabet")
-    current = aut.initial
+    current = ts._mask(aut.initial)
     for a in w.symbols:
-        current = _step(aut.system, current, a)
-        if not current:
-            return False
-    return bool(current & aut.final)
+        current = _step(ts, current, a)
+    return bool(current & ts._mask(aut.final))
 
 
 @lru_cache(maxsize=None)
@@ -190,17 +209,18 @@ def complement(dfa: Dfa) -> Dfa:
 
 def _shortest_word_in_product(aut: Automaton, dfa: Dfa) -> Word | None:
     """Length-lexicographically least word accepted by both machines; an
-    empty NFA state set accepts nothing, so it is pruned."""
+    empty NFA state mask accepts nothing, so it is pruned."""
+    ts = aut.system
+    final = ts._mask(aut.final)
 
     def step(config, a):
-        nfa_states = _step(aut.system, config[0], a)
+        nfa_states = _step(ts, config[0], a)
         return (nfa_states, dfa.delta[(config[1], a)]) if nfa_states else None
 
     def good(config):
-        nfa_states, q = config
-        return bool(nfa_states & aut.final) and q in dfa.accepting
+        return bool(config[0] & final) and config[1] in dfa.accepting
 
-    return shortest_word(aut.system.alphabet, (aut.initial, dfa.start), step, good)
+    return shortest_word(ts.alphabet, (ts._mask(aut.initial), dfa.start), step, good)
 
 
 def accepted_basis(aut: Automaton) -> FinalSegment:
@@ -249,8 +269,8 @@ def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
     The bijection must preserve transitions in both directions and map the
     initial and final sets onto each other. After the size checks, each state
     may go to the states that agree with it on initial and final membership,
-    and find_bijection keeps the letters between every two mapped states
-    equal.
+    and find_bijection, run on positions, keeps the letters between every two
+    mapped states equal: the same bits in the successor masks.
     """
     ts1, ts2 = aut1.system, aut2.system
     if ts1.alphabet != ts2.alphabet:
@@ -260,26 +280,22 @@ def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
     if len(ts1.transitions) != len(ts2.transitions):
         return False, None
 
-    def role(aut, q):
-        return q in aut.initial, q in aut.final
+    roles1 = [(q in aut1.initial, q in aut1.final) for q in ts1.states]
+    roles2 = [(q in aut2.initial, q in aut2.final) for q in ts2.states]
+    rows = list(zip(ts1._successors.values(), ts2._successors.values()))
+    order = range(len(ts1.states))
+    candidates = {i: [j for j in order if roles2[j] == roles1[i]] for i in order}
 
-    def letters_between(ts):
-        table = defaultdict(set)
-        for p, a, q in ts.transitions:
-            table[(p, q)].add(a)
-        return table
+    def agree(p, q, r, s):
+        return all(
+            (u[p] >> r & 1) == (v[q] >> s & 1) and (u[r] >> p & 1) == (v[s] >> q & 1)
+            for u, v in rows
+        )
 
-    lt1, lt2 = letters_between(ts1), letters_between(ts2)
-    candidates = {
-        q: [r for r in ts2.states if role(aut2, r) == role(aut1, q)]
-        for q in ts1.states
-    }
-    mapping = find_bijection(
-        ts1.states,
-        candidates,
-        lambda p, q, r, s: lt1[(p, r)] == lt2[(q, s)] and lt1[(r, p)] == lt2[(s, q)],
-    )
-    return mapping is not None, mapping
+    mapping = find_bijection(order, candidates, agree)
+    if mapping is None:
+        return False, None
+    return True, {ts1.states[i]: ts2.states[j] for i, j in mapping.items()}
 
 
 def find_bijection(order, candidates, agree) -> dict | None:
@@ -322,20 +338,19 @@ def articulation_states(ts: TransitionSystem, x, y) -> list:
     """
     if x == y:
         return []
-    adj = defaultdict(set)
-    for p, _, q in ts.transitions:
-        if p != q:
-            adj[p].add(q)
-            adj[q].add(p)
-    order = {q: i for i, q in enumerate(closure([x], adj.__getitem__))}
-    if y not in order:
+    adj = [0] * len(ts.states)
+    for row in ts._successors.values():
+        for i, out in enumerate(row):
+            for j in _bits(out & ~(1 << i)):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    ix, iy = ts._index[x], ts._index[y]
+    order = closure([ix], lambda i: _bits(adj[i]))
+    if iy not in order:
         raise ValueError("x and y are not connected")
-    cuts = [
-        z
-        for z in ts.states
-        if z not in (x, y)
-        and z in order
-        and y not in closure([x], lambda p: adj[p] - {z})
+    return [
+        ts.states[z]
+        for z in order
+        if z not in (ix, iy)
+        and iy not in closure([ix], lambda i: _bits(adj[i] & ~(1 << z)))
     ]
-    cuts.sort(key=order.__getitem__)
-    return cuts

@@ -41,13 +41,12 @@ from .automata import (
     minimal_dfa,
 )
 from .envelope import (
+    PointedSpace,
     algebra_distance,
-    as_pointed,
     build_envelope,
     check_convexity,
     decompose,
     dist,
-    metric_form_pair,
     min_dfa_morphism,
     no_proper_isometric_subspace,
     verify_sum_theorem,
@@ -260,6 +259,8 @@ def _verify_checks(F: FinalSegment):
     """Yield (name, thunk) pairs; a thunk returns a detail string or raises."""
     env = build_envelope(F)
     elements = env.elements
+    d = {(P, Q): dist(env, P, Q) for P in elements for Q in elements}
+    space = PointedSpace(env.alphabet, elements, d, env.x, env.y)
 
     def envelope_size():
         return _count(len(elements), "element")
@@ -274,33 +275,32 @@ def _verify_checks(F: FinalSegment):
         ts = env.transition_system()
         for P in elements:
             for Q in elements:
-                d = dist(env, P, Q)
                 pair = f"d({format_segment(P)}, {format_segment(Q)})"
                 paths = accepted_basis(Automaton(ts, frozenset({P}), frozenset({Q})))
-                assert paths == d, (
-                    f"{pair} = {format_segment(d)} but the path language is "
+                assert paths == d[P, Q], (
+                    f"{pair} = {format_segment(d[P, Q])} but the path language is "
                     f"{format_segment(paths)}"
                 )
-                assert is_full(d) == (P == Q), f"{pair} fails identity"
+                assert is_full(d[P, Q]) == (P == Q), f"{pair} fails identity"
         return _count(len(elements) ** 2, "pair")
 
     def distance_triangle():
         for P in elements:
             for Q in elements:
                 for R in elements:
-                    assert product_in(
-                        dist(env, P, Q), dist(env, Q, R), dist(env, P, R)
-                    ), f"triangle fails through {format_segment(Q)}"
+                    assert product_in(d[P, Q], d[Q, R], d[P, R]), (
+                        f"triangle fails through {format_segment(Q)}"
+                    )
         return _count(len(elements) ** 3, "triple")
 
     def distance_involution():
         for P in elements:
             for Q in elements:
-                assert dist(env, Q, P) == involute_seg(dist(env, P, Q))
+                assert d[Q, P] == involute_seg(d[P, Q])
         return "symmetric under involution"
 
     def duality():
-        forms = {P: metric_form_pair(env, P) for P in elements}
+        forms = {P: (d[env.x, P], d[env.y, P]) for P in elements}
         for P in elements:
             for Q in elements:
                 hx, hy = forms[P]
@@ -311,12 +311,12 @@ def _verify_checks(F: FinalSegment):
         return "metric forms agree on both coordinates"
 
     def convexity():
-        ok, witnesses = check_convexity(env)
+        ok, witnesses = check_convexity(space)
         assert ok, f"{len(witnesses)} non-convex splits"
         return "all splits realized"
 
     def proper_subspace():
-        assert no_proper_isometric_subspace(as_pointed(env))
+        assert no_proper_isometric_subspace(space)
         return "envelope is minimal"
 
     def round_trip():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_
 
 from .words import Alphabet, Word
@@ -56,7 +56,8 @@ class EnvelopeLattice:
     meets; t_f holds the triples (P, a, Q) with P.up(a) inside Q and
     Q.up(bar a) inside P, which form a reflexive-involutive system. extent
     maps each element to its bitmask and context is galois_context(y); both
-    are left out of equality, hashing and repr.
+    are left out of equality, hashing and repr. The transition system is
+    built once per envelope, so every walk over it shares one index.
     """
 
     alphabet: Alphabet
@@ -68,13 +69,15 @@ class EnvelopeLattice:
     extent: dict = field(compare=False, repr=False)
     context: tuple = field(compare=False, repr=False)
 
-    def transition_system(self) -> TransitionSystem:
+    @cached_property
+    def _system(self) -> TransitionSystem:
         return TransitionSystem(self.alphabet, self.elements, self.t_f)
 
+    def transition_system(self) -> TransitionSystem:
+        return self._system
+
     def automaton(self) -> Automaton:
-        return Automaton(
-            self.transition_system(), frozenset({self.x}), frozenset({self.y})
-        )
+        return Automaton(self._system, frozenset({self.x}), frozenset({self.y}))
 
 
 def galois_context(F: FinalSegment) -> tuple:

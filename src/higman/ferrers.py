@@ -14,7 +14,7 @@ from itertools import product
 
 from .words import Alphabet, Word, concat
 from .segments import FinalSegment, is_empty
-from .automata import Automaton, Dfa, _step, closure, shortest_word
+from .automata import Automaton, Dfa, _bits, _step, closure, shortest_word
 from .envelope import EnvelopeLattice, build_envelope, galois_context
 
 
@@ -38,13 +38,15 @@ def is_ferrers_segment(F: FinalSegment) -> tuple[bool, tuple | None]:
 
 
 def _determinize(aut: Automaton) -> Dfa:
+    """Subset construction on masks, labelling each DFA state by its states."""
     ts = aut.system
     A = ts.alphabet
-    start = frozenset(aut.initial)
-    states = closure([start], lambda S: [_step(ts, S, a) for a in A.letters])
-    delta = {(S, a): _step(ts, S, a) for S in states for a in A.letters}
-    accepting = frozenset(S for S in states if S & aut.final)
-    return Dfa(A, tuple(states), start, accepting, delta)
+    start, final = ts._mask(aut.initial), ts._mask(aut.final)
+    masks = closure([start], lambda S: [_step(ts, S, a) for a in A.letters])
+    label = {S: frozenset(ts.states[i] for i in _bits(S)) for S in masks}
+    delta = {(label[S], a): label[_step(ts, S, a)] for S in masks for a in A.letters}
+    accepting = frozenset(label[S] for S in masks if S & final)
+    return Dfa(A, tuple(label.values()), label[start], accepting, delta)
 
 
 def _separating_word(dfa: Dfa, s, t) -> Word | None:

@@ -7,9 +7,9 @@ The envelope automaton accepts exactly F, and inducing keeps the loops and
 the up-closed transitions, so each candidate accepts an up-closed part of F:
 it accepts all of F exactly when it accepts every basis word of F.
 
-A candidate is a bitmask over the envelope's elements, decided by running
-F's basis words on successor masks; only the winners become Automaton
-objects, for the isomorphism dedupe (see search_minmax).
+A candidate is a bitmask over the positions of the envelope system's index,
+decided by running F's basis words with _step; only the winners become
+Automaton objects, for the isomorphism dedupe (see search_minmax).
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .segments import FinalSegment, is_empty
 from .automata import (
     Automaton,
     TransitionSystem,
+    _bits,
+    _step,
     accepts,
     isomorphic,
     language_equals_segment,
@@ -43,13 +45,6 @@ def _induced(env: EnvelopeLattice, subset: frozenset) -> Automaton:
     return Automaton(system, frozenset({env.x}), frozenset({env.y}))
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def search_minmax(F: FinalSegment, cap: int = 20):
     """All acceptors of F with the least state count and, among those, the
     most transitions, up to isomorphism, plus that (states, transitions)
@@ -57,14 +52,14 @@ def search_minmax(F: FinalSegment, cap: int = 20):
     subset is an acceptor of F exactly when it accepts every basis word of
     F: it can accept nothing outside F, and its language is up-closed.
 
-    Bit i of a candidate S stands for env.elements[i]. succ[a][i] is the
-    mask of the elements that element i reaches by letter a in the envelope,
-    so the induced subautomaton on S moves a state set cur to the union of
-    succ[a][i] over i in cur, AND S. A basis word is run from x's bit and
-    accepted when the last set holds y's bit; the transitions induced on S
-    number the popcounts of succ[a][i] & S over i in S. Subsets come in
-    `combinations` order, and only those with the most transitions are
-    built as automata.
+    Bit i of a candidate S stands for env.elements[i], position i of the
+    envelope's transition system ts, and ts._successors[a][i] is the mask of
+    the elements that element i reaches by letter a. So the induced
+    subautomaton on S moves a state mask cur to _step(ts, cur, a) & S. A
+    basis word is run from x's bit and accepted when the last mask holds
+    y's bit; the transitions induced on S number the popcounts of
+    ts._successors[a][i] & S over i in S. Subsets come in `combinations`
+    order, and only those with the most transitions are built as automata.
     """
     if is_empty(F):
         raise ValueError("no automaton accepts the empty segment")
@@ -72,24 +67,15 @@ def search_minmax(F: FinalSegment, cap: int = 20):
     n = len(env.elements)
     if n > cap:
         raise CapExceeded(f"envelope has {n} elements, cap is {cap}")
-    position = {P: i for i, P in enumerate(env.elements)}
-    succ = {a: [0] * n for a in env.alphabet.letters}
-    for P, a, Q in env.t_f:
-        succ[a][position[P]] |= 1 << position[Q]
-    rows = list(succ.values())
-    x, y = 1 << position[env.x], 1 << position[env.y]
-    words = [[succ[a] for a in u.symbols] for u in F.basis]
+    ts = env.transition_system()
+    rows = list(ts._successors.values())
+    x, y = ts._mask({env.x}), ts._mask({env.y})
 
     def accepts_basis(S):
-        for word in words:
+        for u in F.basis:
             cur = x
-            for row in word:
-                step = 0
-                for i in _bits(cur):
-                    step |= row[i]
-                cur = step & S
-                if not cur:
-                    return False
+            for a in u.symbols:
+                cur = _step(ts, cur, a) & S
             if not cur & y:
                 return False
         return True

@@ -223,7 +223,7 @@ class TestIndexedStep:
             ] + [frozenset(rng.sample(ts.states, len(ts.states) // 2)) for _ in range(3)]
             for S in subsets:
                 for a in A.letters:
-                    assert _step(ts, S, a) == scan_step(ts, S, a)
+                    assert _step(ts, ts._mask(S), a) == ts._mask(scan_step(ts, S, a))
             for w in words_upto(A, 3 if len(A.letters) == 2 else 2):
                 assert accepts(aut, w) == scan_accepts(aut, w), w
 
@@ -231,10 +231,15 @@ class TestIndexedStep:
         env = build_envelope(segment(ab(), "aa", "bb"))
         one = env.transition_system()
         other = TransitionSystem(one.alphabet, one.states, one.transitions)
-        _step(one, frozenset({env.x}), "a")
+        _step(one, one._mask({env.x}), "a")
         assert "_successors" in vars(one) and "_successors" not in vars(other)
         assert one == other and hash(one) == hash(other)
         assert {one: 1}[other] == 1
+
+    def test_envelope_shares_one_system(self):
+        env = build_envelope(segment(ab(), "aa", "bb"))
+        assert env.transition_system() is env.transition_system()
+        assert env.automaton().system is env.transition_system()
 
 
 class TestAcceptedBasis:

@@ -235,6 +235,21 @@ class TestFerrersRegular:
         square = build_envelope(segment(A, "aa", "bb")).automaton()
         assert not is_ferrers_regular(square)[0]
 
+    def test_determinized_witness_is_pinned(self):
+        # the subset construction runs on masks but labels its states with
+        # frozensets of envelope elements; the witness must not change
+        A = ab()
+        env = build_envelope(segment(A, "aa", "bb"))
+        ok, (s, t, w_st, w_ts) = is_ferrers_regular(env.automaton())
+        top, a_b, a_bb, b_aa = env.elements[:4]
+        assert not ok
+        assert type(s) is frozenset and type(t) is frozenset
+        assert s == {top, a_b, a_bb} and t == {top, a_b, b_aa}
+        assert (a_b, a_bb, b_aa) == tuple(
+            segment(A, *g) for g in (("a", "b"), ("a", "bb"), ("b", "aa"))
+        )
+        assert (w_st, w_ts) == (A.word("a"), A.word("b"))
+
 
 class TestLinearlyOrderable:
     def test_cases(self):

@@ -240,6 +240,47 @@ def test_residuation_and_involution_on_drawn_antichains():
     check()
 
 
+def test_lattice_laws_on_drawn_antichains():
+    """union and intersect are commutative, associative, idempotent and
+    absorptive, and each distributes over the other; subset_of is the order
+    of the meet. Every segment is checked pointwise against oracles.member
+    on the words of up to 4 letters."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    antichain = st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=3)
+
+    @hypothesis.settings(
+        max_examples=60, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(
+        st.sampled_from([ab(), ab_ordered()]), antichain, antichain, antichain
+    )
+    def check(A, f_texts, g_texts, h_texts):
+        gens = [[A.word(t) for t in texts] for texts in (f_texts, g_texts, h_texts)]
+        F, G, H = (canonicalize(A, g) for g in gens)
+        assert union(F, G) == union(G, F)
+        assert intersect(F, G) == intersect(G, F)
+        assert union(union(F, G), H) == union(F, union(G, H))
+        assert intersect(intersect(F, G), H) == intersect(F, intersect(G, H))
+        assert union(F, F) == F == intersect(F, F)
+        assert union(F, intersect(F, G)) == F == intersect(F, union(F, G))
+        assert intersect(F, union(G, H)) == union(intersect(F, G), intersect(F, H))
+        assert union(F, intersect(G, H)) == intersect(union(F, G), union(F, H))
+        assert subset_of(F, G) == (intersect(F, G) == F)
+        join, meet = union(F, G), intersect(F, G)
+        meet_of_join = intersect(F, union(G, H))
+        join_of_meet = union(F, intersect(G, H))
+        for v in words_upto(A, 4):
+            f, g, h = (member(gen, v) for gen in gens)
+            assert (contains(F, v), contains(G, v), contains(H, v)) == (f, g, h)
+            assert contains(join, v) == (f or g)
+            assert contains(meet, v) == (f and g)
+            assert contains(meet_of_join, v) == (f and (g or h))
+            assert contains(join_of_meet, v) == (f or (g and h))
+
+    check()
+
+
 def test_residual_antitone_in_word():
     A = ab_ordered()
     pool = nonempty_words(A, 3)
