@@ -25,7 +25,8 @@ from .segments import FinalSegment, canonicalize, is_full, left_residual
 @dataclass(frozen=True)
 class TransitionSystem:
     """States with labeled transitions (state, letter, state). The index
-    (_index, _successors, _mask) is built on first use, outside the fields."""
+    (_index, _successors, _mask) and the verdict of is_reflexive_involutive
+    are computed on first use, outside the fields."""
 
     alphabet: Alphabet
     states: tuple
@@ -53,6 +54,16 @@ class TransitionSystem:
 
     def _mask(self, states) -> int:
         return sum(1 << self._index[q] for q in states)
+
+    @cached_property
+    def _reflexive_involutive(self) -> bool:
+        # every loop and every implied transition is present, as bit tests
+        # on position triples (i, a, j)
+        A, succ, n = self.alphabet, self._successors, len(self.states)
+        held = [(i, a, j) for a in A.letters for i in range(n) for j in _bits(succ[a][i])]
+        needed = [(i, a, i) for i in range(n) for a in A.letters]
+        needed += [u for t in held for u in _implied(A, t)]
+        return all(succ[a][i] >> j & 1 for i, a, j in needed)
 
 
 @dataclass(frozen=True)
@@ -137,15 +148,9 @@ def saturate(ts: TransitionSystem) -> TransitionSystem:
 
 
 def is_reflexive_involutive(ts: TransitionSystem) -> bool:
-    """Whether saturate would add nothing: every loop and every implied
-    transition is present, as bit tests on position triples (i, a, j)."""
-    A = ts.alphabet
-    succ = ts._successors
-    n = len(ts.states)
-    held = [(i, a, j) for a in A.letters for i in range(n) for j in _bits(succ[a][i])]
-    needed = [(i, a, i) for i in range(n) for a in A.letters]
-    needed += [u for t in held for u in _implied(A, t)]
-    return all(succ[a][i] >> j & 1 for i, a, j in needed)
+    """Whether saturate would add nothing. The verdict is computed once per
+    system, beside its index."""
+    return ts._reflexive_involutive
 
 
 def _bits(mask: int):

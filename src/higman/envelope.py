@@ -284,25 +284,35 @@ def _pointed(space) -> PointedSpace:
     return space if isinstance(space, PointedSpace) else as_pointed(space)
 
 
+def _holding(dists, w: Word) -> int:
+    """The mask of the positions whose distance holds w."""
+    return sum(1 << i for i, D in enumerate(dists) if contains(D, w))
+
+
 def check_convexity(space) -> tuple[bool, list]:
     """Every split of every distance word admits a midpoint.
 
     For each pair (P, Q), each basis word w of d(P, Q) and each split
     w = u v there must be a point Z with u in d(P, Z) and v in d(Z, Q).
     Returns the offending (P, Q, u, v) quadruples when there are none such Z.
+    The points Z with u in d(P, Z) form one mask per (P, u), those with v in
+    d(Z, Q) one mask per (v, Q), and a split has a midpoint iff they meet.
     """
     s = _pointed(space)
+    A, points = s.alphabet, s.points
+    starts, ends = {}, {}
     witnesses = []
-    for P in s.points:
-        for Q in s.points:
+    for P in points:
+        for Q in points:
             for w in s.d[(P, Q)].basis:
                 for cut in range(len(w.symbols) + 1):
-                    u = Word(s.alphabet, w.symbols[:cut])
-                    v = Word(s.alphabet, w.symbols[cut:])
-                    if not any(
-                        contains(s.d[(P, Z)], u) and contains(s.d[(Z, Q)], v)
-                        for Z in s.points
-                    ):
+                    u = Word(A, w.symbols[:cut])
+                    v = Word(A, w.symbols[cut:])
+                    if (P, u) not in starts:
+                        starts[P, u] = _holding((s.d[(P, Z)] for Z in points), u)
+                    if (v, Q) not in ends:
+                        ends[v, Q] = _holding((s.d[(Z, Q)] for Z in points), v)
+                    if not starts[P, u] & ends[v, Q]:
                         witnesses.append((P, Q, u, v))
     return not witnesses, witnesses
 

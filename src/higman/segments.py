@@ -26,17 +26,33 @@ from .words import (
     sort_key,
 )
 
+# entries kept by each memoized binary operation, intersect and concat_seg
+MEMO_SIZE = 8192
+
 
 @dataclass(frozen=True)
 class FinalSegment:
     """Up-closed set of words, stored as its sorted minimal-word antichain.
 
     basis () is the empty segment; basis (empty word,) is all of A*.
-    Build values through canonicalize() so equality is structural.
+    Build values through canonicalize() so equality is structural. The hash
+    is hash((alphabet, basis)), computed on first use and kept outside the
+    fields; it is left out of the pickled state, since str hashes differ
+    between processes.
     """
 
     alphabet: Alphabet
     basis: tuple[Word, ...]
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.alphabet, self.basis))
+            return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 def canonicalize(alphabet: Alphabet, words) -> FinalSegment:
@@ -89,6 +105,7 @@ def union(F: FinalSegment, G: FinalSegment) -> FinalSegment:
     return canonicalize(F.alphabet, F.basis + G.basis)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def intersect(F: FinalSegment, G: FinalSegment) -> FinalSegment:
     """Meet: pairwise minimal common upper bounds of the two bases."""
     _check_same_alphabet(F, G)
@@ -99,6 +116,7 @@ def intersect(F: FinalSegment, G: FinalSegment) -> FinalSegment:
     return canonicalize(F.alphabet, gens)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def concat_seg(F: FinalSegment, G: FinalSegment) -> FinalSegment:
     """Monoid product: ↑u · ↑v = ↑(uv) on generators. ∅ absorbs."""
     _check_same_alphabet(F, G)

@@ -116,6 +116,11 @@ class Alphabet:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt from its definition: the hash of str letters differs
+        # between processes, so the stored one must not travel
+        return Alphabet, (self.letters, sorted(self._leq), self._bar)
+
     def __repr__(self):
         return f"Alphabet({'-'.join(self.letters)})"
 

@@ -3,6 +3,7 @@ from functools import reduce
 
 import pytest
 
+from higman import automata
 from higman.words import Word, embeds
 from higman.segments import (
     contains,
@@ -160,6 +161,24 @@ class TestIsReflexiveInvolutive:
                 assert not is_reflexive_involutive(broken), (kind, gone)
                 kinds[kind] += 1
         assert min(kinds.values()) > 10, kinds
+
+
+    def test_verdict_is_computed_once_per_system(self, monkeypatch, envelope_system):
+        # the rules run once over the held transitions; further calls, those
+        # of accepted_basis and language_equals_segment included, read the
+        # verdict kept beside the system's index
+        A, ts, top, low = envelope_system
+        calls = []
+        implied = automata._implied
+        monkeypatch.setattr(
+            automata, "_implied", lambda A, t: calls.append(t) or implied(A, t)
+        )
+        aut = Automaton(ts, frozenset({top}), frozenset({low}))
+        for _ in range(3):
+            assert is_reflexive_involutive(ts)
+            assert accepted_basis(aut) == segment(A, "aa", "bb")
+            assert language_equals_segment(aut, segment(A, "aa", "bb"))[0]
+        assert len(calls) == len(ts.transitions)
 
 
 class TestAccepts:

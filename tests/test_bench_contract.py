@@ -73,6 +73,8 @@ def test_layer_metrics_find_their_caches(bench, modules):
     for name in (
         "segments.right_residual",
         "segments.left_residual",
+        "segments.intersect",
+        "segments.concat_seg",
         "envelope.dist",
         "automata.minimal_dfa",
     ):

@@ -349,17 +349,46 @@ class TestConvexity:
 
     def test_two_point_space_fails(self):
         A = ab()
-        F = segment(A, "ab")
-        d = {
-            ("x", "x"): full_segment(A),
-            ("y", "y"): full_segment(A),
-            ("x", "y"): F,
-            ("y", "x"): involute_seg(F),
-        }
-        space = PointedSpace(A, ("x", "y"), d, "x", "y")
+        ok, witnesses = check_convexity(two_point_space(segment(A, "ab")))
+        assert not ok
+        assert witnesses == [
+            ("x", "y", A.word("a"), A.word("b")),
+            ("y", "x", A.word("b"), A.word("a")),
+        ]
+
+    def test_glued_two_point_spaces_fail_in_order(self):
+        # y of d(x, y) = ↑ab glued to x of d(x, y) = ↑ba; the witnesses come
+        # by pair (P, Q) in point order, then by basis word, then by cut
+        A = ab()
+        space = concat_pointed(
+            two_point_space(segment(A, "ab")), two_point_space(segment(A, "ba"))
+        )
+        x, g, y = ("l", "x"), ("g",), ("r", "y")
+        assert space.points == (x, g, y)
         ok, witnesses = check_convexity(space)
         assert not ok
-        assert ("x", "y", A.word("a"), A.word("b")) in witnesses
+        assert [(P, Q, str(u), str(v)) for P, Q, u, v in witnesses] == [
+            (x, g, "a", "b"),
+            (x, y, "a", "bba"),
+            (x, y, "abb", "a"),
+            (g, x, "b", "a"),
+            (g, y, "b", "a"),
+            (y, x, "a", "bba"),
+            (y, x, "abb", "a"),
+            (y, g, "a", "b"),
+        ]
+
+
+def two_point_space(F):
+    """The points x and y at distance F."""
+    A = F.alphabet
+    d = {
+        ("x", "x"): full_segment(A),
+        ("y", "y"): full_segment(A),
+        ("x", "y"): F,
+        ("y", "x"): involute_seg(F),
+    }
+    return PointedSpace(A, ("x", "y"), d, "x", "y")
 
 
 class TestNoProperIsometricSubspace:

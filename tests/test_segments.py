@@ -1,6 +1,11 @@
 """Canonical bases and the segment algebra, pinned values and laws."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +284,69 @@ def test_lattice_laws_on_drawn_antichains():
             assert contains(join_of_meet, v) == (f or (g and h))
 
     check()
+
+
+def test_memoized_ops_agree_with_their_definitions_on_drawn_antichains():
+    """intersect and concat_seg answer from a bounded cache: a first and a
+    repeated call equal the uncached function, and operands over two
+    alphabets raise on every call, since a raised call leaves no entry."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    antichain = st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=3)
+
+    @hypothesis.settings(
+        max_examples=60, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(st.booleans(), antichain, antichain)
+    def check(swap, f_texts, g_texts):
+        A, B = (ab_ordered(), ab()) if swap else (ab(), ab_ordered())
+        F = canonicalize(A, [A.word(t) for t in f_texts])
+        G = canonicalize(A, [A.word(t) for t in g_texts])
+        G_other = canonicalize(B, [B.word(t) for t in g_texts])
+        for op in (intersect, concat_seg):
+            assert op(F, G) == op.__wrapped__(F, G) == op(F, G)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="different alphabets"):
+                    op(F, G_other)
+
+    check()
+
+
+def test_hash_is_the_hash_of_the_fields():
+    A = ab()
+    for F in (segment(A, "ab", "ba"), full_segment(A), empty_segment(A)):
+        first = hash(F)
+        assert first == hash(F) == hash((F.alphabet, F.basis))
+
+
+# pickles a segment whose hash is already computed and kept
+PICKLE_SEGMENT = """
+import pickle, sys
+from higman.segments import segment
+from helpers import ab
+F = segment(ab(), "ab", "ba")
+assert F in {F}
+sys.stdout.buffer.write(pickle.dumps(F))
+"""
+
+
+def test_pickled_segment_is_found_under_another_hash_seed():
+    """str hashes differ between processes, so no stored hash travels with
+    a pickled segment or its alphabet."""
+    root = Path(__file__).resolve().parent.parent
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    blob = subprocess.run(
+        [sys.executable, "-c", PICKLE_SEGMENT],
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+        capture_output=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    F = pickle.loads(blob)
+    A = ab()
+    assert F in {segment(A, "a"), segment(A, "ab", "ba"), full_segment(A)}
+    assert hash(F) == hash((F.alphabet, F.basis))
 
 
 def test_residual_antitone_in_word():
