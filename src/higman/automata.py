@@ -3,20 +3,19 @@
 Systems can be saturated (every letter loops everywhere, transitions close
 under involution-reversal and letter up-closure); saturated systems accept
 up-closed languages, whose finite bases are extracted by shortest-word search.
-Every walk reads a system's one index: state sets are bitmasks over the
-positions of its states, stepped by one successor mask per (position, letter).
+A system is stored as one successor mask per (letter, position), and every
+walk reads them: state sets are bitmasks over the positions of its states.
 The minimal deterministic automaton of a final segment is its left-residual
-closure. Two searches serve the machine layer: closure() walks everything
-reachable, shortest_word() finds the length-lexicographically least word
-reaching a goal; find_bijection() is the one backtracking matcher, behind
-isomorphism.
+closure. closure(), shortest_word() and find_bijection() are the machine
+layer's one reachability walk, shortest-word search and backtracking matcher.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 
 from .words import Alphabet, Word
 from .segments import FinalSegment, canonicalize, is_full, left_residual
@@ -24,46 +23,55 @@ from .segments import FinalSegment, canonicalize, is_full, left_residual
 
 @dataclass(frozen=True)
 class TransitionSystem:
-    """States with labeled transitions (state, letter, state). The index
-    (_index, _successors, _mask) and the verdict of is_reflexive_involutive
-    are computed on first use, outside the fields."""
+    """States with labeled transitions (state, letter, state), stored as one
+    successor mask per (letter, position): bit j of _successors[a][i] is the
+    transition (states[i], a, states[j]). The set of triples, transitions,
+    _index and the verdict of is_reflexive_involutive are built on first read."""
 
     alphabet: Alphabet
     states: tuple
-    transitions: frozenset
+    _successors: dict = field(hash=False)
 
-    def __post_init__(self):
-        if len(self._index) != len(self.states):
+    def __init__(self, alphabet: Alphabet, states: tuple, transitions: frozenset):
+        index = {q: i for i, q in enumerate(states)}
+        if len(index) != len(states):
             raise ValueError("duplicate states")
-        for p, a, q in self.transitions:
-            if p not in self._index or q not in self._index:
+        rows = {a: [0] * len(states) for a in alphabet.letters}
+        for p, a, q in transitions:
+            if p not in index or q not in index:
                 raise ValueError(f"transition ({p!r}, {a!r}, {q!r}) uses unknown state")
-            if a not in self.alphabet.index:
+            if a not in rows:
                 raise ValueError(f"transition letter {a!r} not in alphabet")
+            rows[a][index[p]] |= 1 << index[q]
+        vars(self).update(alphabet=alphabet, states=states, _successors=rows)
+
+    @classmethod
+    def _from_rows(cls, alphabet: Alphabet, states: tuple, rows: dict):
+        """The system with the given successor masks, one list per letter."""
+        ts = cls.__new__(cls)
+        vars(ts).update(alphabet=alphabet, states=states, _successors=rows)
+        return ts
+
+    @cached_property
+    def transitions(self) -> frozenset:
+        S, rows = self.states, self._successors
+        return frozenset(
+            (S[i], a, S[j])
+            for a in rows
+            for i, out in enumerate(rows[a])
+            for j in _bits(out)
+        )
 
     @cached_property
     def _index(self) -> dict:
         return {q: i for i, q in enumerate(self.states)}
-
-    @cached_property
-    def _successors(self) -> dict:
-        table = {a: [0] * len(self.states) for a in self.alphabet.letters}
-        for p, a, q in self.transitions:
-            table[a][self._index[p]] |= 1 << self._index[q]
-        return table
 
     def _mask(self, states) -> int:
         return sum(1 << self._index[q] for q in states)
 
     @cached_property
     def _reflexive_involutive(self) -> bool:
-        # every loop and every implied transition is present, as bit tests
-        # on position triples (i, a, j)
-        A, succ, n = self.alphabet, self._successors, len(self.states)
-        held = [(i, a, j) for a in A.letters for i in range(n) for j in _bits(succ[a][i])]
-        needed = [(i, a, i) for i in range(n) for a in A.letters]
-        needed += [u for t in held for u in _implied(A, t)]
-        return all(succ[a][i] >> j & 1 for i, a, j in needed)
+        return _saturated(self) == self._successors
 
 
 @dataclass(frozen=True)
@@ -132,24 +140,31 @@ def shortest_word(A: Alphabet, start, step, good) -> Word | None:
     return None
 
 
-def _implied(A: Alphabet, t) -> list:
-    """The transitions a saturated system must hold because it holds t:
-    its involution reversal and its letter up-closure."""
-    p, a, q = t
-    return [(q, A.bar(a), p)] + [(p, b, q) for b in A.letters if A.leq(a, b)]
+def _saturated(ts: TransitionSystem) -> dict:
+    """The masks of ts with all loops, closed under letter up-closure and then
+    involution reversal; one pass each, as the involution keeps the order."""
+    A, rows = ts.alphabet, ts._successors
+    closed = {}
+    for b in A.letters:
+        below = zip(*(rows[a] for a in A.letters if A.leq(a, b)))
+        closed[b] = [reduce(or_, outs, 1 << i) for i, outs in enumerate(below)]
+    # reversing a reversed bit only sets the bit it came from
+    for a, row in closed.items():
+        back = closed[A.bar(a)]
+        for i, out in enumerate(row):
+            for j in _bits(out):
+                back[j] |= 1 << i
+    return closed
 
 
 def saturate(ts: TransitionSystem) -> TransitionSystem:
     """Close under reflexivity, involution symmetry, and letter up-closure."""
-    A = ts.alphabet
-    loops = [(q, a, q) for q in ts.states for a in A.letters]
-    trans = closure(list(ts.transitions) + loops, lambda t: _implied(A, t))
-    return TransitionSystem(A, ts.states, frozenset(trans))
+    return TransitionSystem._from_rows(ts.alphabet, ts.states, _saturated(ts))
 
 
 def is_reflexive_involutive(ts: TransitionSystem) -> bool:
     """Whether saturate would add nothing. The verdict is computed once per
-    system, beside its index."""
+    system, beside its masks."""
     return ts._reflexive_involutive
 
 
@@ -203,13 +218,7 @@ def dfa_accepts(dfa: Dfa, w: Word) -> bool:
 
 
 def complement(dfa: Dfa) -> Dfa:
-    return Dfa(
-        dfa.alphabet,
-        dfa.states,
-        dfa.start,
-        frozenset(dfa.states) - dfa.accepting,
-        dfa.delta,
-    )
+    return replace(dfa, accepting=frozenset(dfa.states) - dfa.accepting)
 
 
 def _shortest_word_in_product(aut: Automaton, dfa: Dfa) -> Word | None:
@@ -263,9 +272,7 @@ def language_equals_segment(
         if not accepts(aut, u):
             return False, u
     w = _shortest_word_in_product(aut, complement(minimal_dfa(F)))
-    if w is not None:
-        return False, w
-    return True, None
+    return w is None, w
 
 
 def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
@@ -278,11 +285,7 @@ def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
     mapped states equal: the same bits in the successor masks.
     """
     ts1, ts2 = aut1.system, aut2.system
-    if ts1.alphabet != ts2.alphabet:
-        return False, None
-    if len(ts1.states) != len(ts2.states):
-        return False, None
-    if len(ts1.transitions) != len(ts2.transitions):
+    if ts1.alphabet != ts2.alphabet or len(ts1.states) != len(ts2.states):
         return False, None
 
     roles1 = [(q in aut1.initial, q in aut1.final) for q in ts1.states]
@@ -343,12 +346,9 @@ def articulation_states(ts: TransitionSystem, x, y) -> list:
     """
     if x == y:
         return []
-    adj = [0] * len(ts.states)
-    for row in ts._successors.values():
-        for i, out in enumerate(row):
-            for j in _bits(out & ~(1 << i)):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    # saturation joins i and j exactly when some letter does, either way
+    rows = zip(*_saturated(ts).values())
+    adj = [reduce(or_, outs) & ~(1 << i) for i, outs in enumerate(rows)]
     ix, iy = ts._index[x], ts._index[y]
     order = closure([ix], lambda i: _bits(adj[i]))
     if iy not in order:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
-from operator import and_
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 from .words import Alphabet, Word
 from .segments import (
@@ -38,6 +38,7 @@ from .segments import (
 from .automata import (
     Automaton,
     TransitionSystem,
+    _bits,
     articulation_states,
     closure,
     find_bijection,
@@ -48,16 +49,16 @@ from .automata import (
 
 @dataclass(frozen=True)
 class EnvelopeLattice:
-    """The envelope as a lattice of final segments plus its transition set.
+    """The envelope as a lattice of final segments plus its transition system.
 
-    elements are closed under pairwise intersection, contain both base
-    points x = A* and y = F, and are sorted by seg_key (build_envelope is the
-    only constructor); hasse holds the covers (lower, upper), read off the
-    meets; t_f holds the triples (P, a, Q) with P.up(a) inside Q and
-    Q.up(bar a) inside P, which form a reflexive-involutive system. extent
-    maps each element to its bitmask and context is galois_context(y); both
-    are left out of equality, hashing and repr. The transition system is
-    built once per envelope, so every walk over it shares one index.
+    elements are closed under pairwise intersection, hold both base points
+    x = A* and y = F, and are sorted by seg_key (build_envelope is the only
+    constructor); hasse holds the covers (lower, upper). The reflexive-
+    involutive system on the elements holds (P, a, Q) iff P.up(a) lies inside
+    Q and Q.up(bar a) inside P; t_f, its triples, is a view built on first
+    read. extent maps each element to its bitmask and context is
+    galois_context(y). Elements determine the system, extent and context,
+    which are left out of equality, hashing and repr.
     """
 
     alphabet: Alphabet
@@ -65,13 +66,13 @@ class EnvelopeLattice:
     x: FinalSegment
     y: FinalSegment
     hasse: frozenset
-    t_f: frozenset
     extent: dict = field(compare=False, repr=False)
     context: tuple = field(compare=False, repr=False)
+    _system: TransitionSystem = field(compare=False, repr=False)
 
-    @cached_property
-    def _system(self) -> TransitionSystem:
-        return TransitionSystem(self.alphabet, self.elements, self.t_f)
+    @property
+    def t_f(self) -> frozenset:
+        return self._system.transitions
 
     def transition_system(self) -> TransitionSystem:
         return self._system
@@ -86,9 +87,8 @@ def galois_context(F: FinalSegment) -> tuple:
 
     Returns (index, pre, columns). index numbers the states, the left
     quotients u^-1 F, as bits; pre(a, E) = {L : delta(L, a) in E} on masks.
-    A word u lies in F/w exactly when w lies in u^-1 F, so the residual F/w
-    is its column, the mask of the quotients holding w; columns maps each
-    column to its residual, in breadth-first order from F = F/ε by single
+    columns maps the column of each residual F/w, the mask of the quotients
+    holding w, to F/w, in breadth-first order from F = F/ε by single
     letters, stepping by F/(aw) = (F/w)/a and pre_a at once. Every quotient
     is reached, so inclusion of residuals is inclusion of columns.
     """
@@ -126,20 +126,22 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     """The envelope of F, built on the bitmasks of galois_context(F).
 
     The extents are the columns closed under "AND with a column"; all ones is
-    x = A* and the accepting mask is y = F.
-    Each extent that is not a column gets its segment form, which display,
-    export and dist read, from one intersect: a parent extent's segment with
-    a column's residual, taking the pair with the fewest basis pairs. The lower
-    covers of an extent are the largest of its meets with the columns not
-    above it, and (P, a, Q) is a transition iff E_P lies inside pre_a(E_Q) and
-    E_Q inside pre_{bar a}(E_P): two bit tests. The automaton from x = A* to
-    y = F accepts exactly F; this is re-checked on every construction.
+    x = A* and the accepting mask is y = F. Each extent that is not a column
+    gets its segment form, which display, export and dist read, from one
+    intersect: a parent extent's segment with a column's residual, taking the
+    pair with the fewest basis pairs. The lower covers of an extent are the
+    largest of its meets with the columns not above it. (P, a, Q) is a
+    transition iff E_P lies inside pre_a(E_Q) and E_Q inside pre_{bar a}(E_P),
+    so each successor mask is an AND and an OR of the masks of the elements
+    holding each object. The automaton from x = A* to y = F accepts exactly
+    F; this is re-checked on every construction.
     """
     if is_empty(F):
         raise ValueError("the empty segment has no envelope")
     A = F.alphabet
     context = galois_context(F)
-    _, pre, columns = context
+    index, pre, columns = context
+    dfa = minimal_dfa(F)
     below = {}
     ways = defaultdict(list)
 
@@ -176,18 +178,27 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
         for M in meets
         if not any(M != D and M & D == M for D in meets)
     )
-    pres = {(a, E): pre(a, E) for a in A.letters for E in extents}
-    trans = frozenset(
-        (segment_of[P], a, segment_of[Q])
-        for P in extents
-        for a in A.letters
-        for Q in extents
-        if P & pres[(a, Q)] == P and Q & pres[(A.bar(a), P)] == Q
-    )
-    ordered = tuple(sorted(segment_of.values(), key=seg_key))
-    extent = {P: E for E, P in segment_of.items()}
+    order = sorted(segment_of, key=lambda E: seg_key(segment_of[E]))
+    ordered = tuple(segment_of[E] for E in order)
+    # Bit j of holds[o] says order[j] holds object o; of after[a][o], delta(o,a).
+    # Q is an a-successor of P iff Q is in after[a][o] for each o in E_P (there
+    # is one: all hold A*) and in no holds[o] with o outside pre_{bar a}(E_P).
+    holds = [
+        sum(1 << j for j, E in enumerate(order) if E >> o & 1) for o in index.values()
+    ]
+    after = {a: [holds[index[dfa.delta[L, a]]] for L in index] for a in A.letters}
+    objects = (1 << len(index)) - 1
+
+    def successors(a, E):
+        up = reduce(and_, (after[a][o] for o in _bits(E)))
+        out = reduce(or_, (holds[o] for o in _bits(objects & ~pre(A.bar(a), E))), 0)
+        return up & ~out
+
+    rows = {a: [successors(a, E) for E in order] for a in A.letters}
+    system = TransitionSystem._from_rows(A, ordered, rows)
+    extent = dict(zip(ordered, order))
     env = EnvelopeLattice(
-        A, ordered, full_segment(A), F, covers, trans, extent, context
+        A, ordered, full_segment(A), F, covers, extent, context, system
     )
     ok, witness = language_equals_segment(env.automaton(), F)
     if not ok:
@@ -220,8 +231,9 @@ def min_dfa_morphism(F: FinalSegment, env: EnvelopeLattice | None = None) -> dic
         image[L] = element[M]
     if image[F] != env.x or image[full_segment(F.alphabet)] != env.y:
         raise RuntimeError("morphism does not send start to x and accepting to y")
+    ts = env.transition_system()
     for (L, a), L2 in minimal_dfa(F).delta.items():
-        if (image[L], a, image[L2]) not in env.t_f:
+        if not ts._successors[a][ts._index[image[L]]] >> ts._index[image[L2]] & 1:
             raise RuntimeError("morphism transition missing from envelope system")
     return image
 

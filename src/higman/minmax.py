@@ -6,10 +6,6 @@ search ranges over subsets of envelope elements containing both base points.
 The envelope automaton accepts exactly F, and inducing keeps the loops and
 the up-closed transitions, so each candidate accepts an up-closed part of F:
 it accepts all of F exactly when it accepts every basis word of F.
-
-A candidate is a bitmask over the positions of the envelope system's index,
-decided by running F's basis words with _step; only the winners become
-Automaton objects, for the isomorphism dedupe (see search_minmax).
 """
 
 from __future__ import annotations
@@ -36,30 +32,30 @@ class CapExceeded(ValueError):
     search here or the up-set scan of a chain product."""
 
 
-def _induced(env: EnvelopeLattice, subset: frozenset) -> Automaton:
-    states = tuple(P for P in env.elements if P in subset)
-    trans = frozenset(
-        (P, a, Q) for (P, a, Q) in env.t_f if P in subset and Q in subset
-    )
-    system = TransitionSystem(env.alphabet, states, trans)
+def _induced(env: EnvelopeLattice, S: int) -> Automaton:
+    """The envelope automaton on the positions in S, from the masks row[i] & S."""
+    ts, keep = env.transition_system(), list(_bits(S))
+    rows = {
+        a: [sum(1 << k for k, j in enumerate(keep) if row[i] >> j & 1) for i in keep]
+        for a, row in ts._successors.items()
+    }
+    states = tuple(ts.states[i] for i in keep)
+    system = TransitionSystem._from_rows(env.alphabet, states, rows)
     return Automaton(system, frozenset({env.x}), frozenset({env.y}))
 
 
 def search_minmax(F: FinalSegment, cap: int = 20):
     """All acceptors of F with the least state count and, among those, the
     most transitions, up to isomorphism, plus that (states, transitions)
-    pair. Induced subsets of the envelope are enumerated by size, and a
-    subset is an acceptor of F exactly when it accepts every basis word of
-    F: it can accept nothing outside F, and its language is up-closed.
+    pair, from the induced subsets of the envelope by size.
 
     Bit i of a candidate S stands for env.elements[i], position i of the
-    envelope's transition system ts, and ts._successors[a][i] is the mask of
-    the elements that element i reaches by letter a. So the induced
-    subautomaton on S moves a state mask cur to _step(ts, cur, a) & S. A
-    basis word is run from x's bit and accepted when the last mask holds
-    y's bit; the transitions induced on S number the popcounts of
-    ts._successors[a][i] & S over i in S. Subsets come in `combinations`
-    order, and only those with the most transitions are built as automata.
+    envelope's transition system ts. So the induced subautomaton on S moves
+    a state mask cur to _step(ts, cur, a) & S. A basis word is run from x's
+    bit and accepted when the last mask holds y's bit; the transitions
+    induced on S number the popcounts of ts._successors[a][i] & S over i in
+    S. Subsets come in `combinations` order, and only those with the most
+    transitions become automata, from the same masks.
     """
     if is_empty(F):
         raise ValueError("no automaton accepts the empty segment")
@@ -95,10 +91,8 @@ def search_minmax(F: FinalSegment, cap: int = 20):
         if found:
             best = max(t for _, t in found)
             reps = []
-            for S, t in found:
-                if t != best:
-                    continue
-                aut = _induced(env, frozenset(env.elements[i] for i in _bits(S)))
+            for S in (S for S, t in found if t == best):
+                aut = _induced(env, S)
                 if not any(isomorphic(aut, r)[0] for r in reps):
                     reps.append(aut)
             return reps, (size, best)
@@ -109,14 +103,10 @@ def is_minmax(aut: Automaton, F: FinalSegment, cap: int = 20) -> bool:
     """Saturate, verify the language is F, then compare the state and
     transition counts against the exhaustive search."""
     sat = Automaton(saturate(aut.system), aut.initial, aut.final)
-    ok, _ = language_equals_segment(sat, F)
-    if not ok:
+    if not language_equals_segment(sat, F)[0]:
         return False
-    _, (min_states, max_transitions) = search_minmax(F, cap)
-    return (
-        len(sat.system.states),
-        len(sat.system.transitions),
-    ) == (min_states, max_transitions)
+    _, best = search_minmax(F, cap)
+    return (len(sat.system.states), len(sat.system.transitions)) == best
 
 
 def reproduce_main_example() -> dict:
@@ -125,11 +115,9 @@ def reproduce_main_example() -> dict:
     exhaustive search finds exactly these two machines."""
     L = language()
     A = L.alphabet
-    one = automaton_one()
-    two = automaton_two()
     sats = [
         Automaton(saturate(m.system), m.initial, m.final)
-        for m in (one, two)
+        for m in (automaton_one(), automaton_two())
     ]
     results, (min_states, max_transitions) = search_minmax(L)
     matched = [

@@ -153,7 +153,7 @@ def sort_key(w: Word) -> tuple:
 
 
 def _check_same_alphabet(u, v) -> None:
-    if u.alphabet != v.alphabet:
+    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
         raise ValueError("operands over different alphabets")
 
 

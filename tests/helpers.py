@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 from higman.words import Alphabet, Word, concat, embeds, sort_key
 from higman.segments import FinalSegment, canonicalize, contains
-from higman.automata import TransitionSystem
+from higman.automata import Automaton, TransitionSystem
 from higman.envelope import build_envelope
 
 
@@ -86,3 +86,14 @@ def tf_system(A: Alphabet, elements) -> TransitionSystem:
                 if times_letter_in(P, a, Q) and times_letter_in(Q, A.bar(a), P):
                     trans.add((P, a, Q))
     return TransitionSystem(A, tuple(elements), frozenset(trans))
+
+
+def induced(env, subset: frozenset) -> Automaton:
+    """The subautomaton of the envelope automaton on the elements in subset,
+    by a scan of the envelope's transition triples."""
+    states = tuple(P for P in env.elements if P in subset)
+    trans = frozenset(
+        (P, a, Q) for (P, a, Q) in env.t_f if P in subset and Q in subset
+    )
+    system = TransitionSystem(env.alphabet, states, trans)
+    return Automaton(system, frozenset({env.x}), frozenset({env.y}))

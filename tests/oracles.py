@@ -177,3 +177,18 @@ def is_reflexive_involutive_oracle(ts) -> bool:
             if A.leq(a, b) and (p, b, q) not in T:
                 return False
     return True
+
+
+def saturate_oracle(ts) -> frozenset:
+    """The transitions of ts with every loop, closed under reversal
+    (q, bar a, p) and letter up-closure (p, b, q) for a <= b by applying
+    both rules until nothing changes."""
+    A = ts.alphabet
+    T = set(ts.transitions) | {(q, a, q) for q in ts.states for a in A.letters}
+    while True:
+        implied = {(q, A.bar(a), p) for p, a, q in T} | {
+            (p, b, q) for p, a, q in T for b in A.letters if A.leq(a, b)
+        }
+        if implied <= T:
+            return frozenset(T)
+        T |= implied

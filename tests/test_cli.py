@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from higman import cli
 from higman.chainprod import ChainProduct
 from higman.cli import SpecError, load_spec, main, parse_problem_spec
+from higman.envelope import build_envelope, dist
+from higman.segments import format_segment, is_full, product_in
 
 FIG1 = {"letters": ["a", "b"], "generators": ["aa", "bb"]}
 AB = {"letters": ["a", "b"], "generators": ["ab"]}
@@ -309,6 +312,40 @@ class TestVerifyCommand:
         last = out.splitlines()[-1]
         assert last.startswith("FAIL: distance identity: ")
         assert "but the path language is" in last
+
+    def test_triangle_tests_each_distinct_triple_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # every distinct (d(P, Q), d(Q, R), d(P, R)) is tested once, and a
+        # refuted one is reported through the Q of its first occurrence
+        env = build_envelope(load_spec(spec_file(tmp_path, FIG1)).segment())
+        points = env.elements
+        triples = [
+            (Q, (dist(env, P, Q), dist(env, Q, R), dist(env, P, R)))
+            for P in points
+            for Q in points
+            for R in points
+        ]
+        distinct = set(t for _, t in triples)
+        assert len(distinct) < len(triples)
+        bad = next(t for _, t in triples if not any(map(is_full, t)))
+        seen = []
+
+        def spy(F, G, H):
+            seen.append((F, G, H))
+            return product_in(F, G, H)
+
+        monkeypatch.setattr(cli, "product_in", spy)
+        code, _, _ = run(capsys, "verify", spec_file(tmp_path, FIG1))
+        assert code == 0 and sorted(seen, key=repr) == sorted(distinct, key=repr)
+
+        monkeypatch.setattr(cli, "product_in", lambda *t: t != bad and spy(*t))
+        code, out, _ = run(capsys, "verify", spec_file(tmp_path, FIG1))
+        Q = next(Q for Q, t in triples if t == bad)
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            f"FAIL: distance triangle: triangle fails through {format_segment(Q)}"
+        )
 
 
 class TestTopLevelErrors:

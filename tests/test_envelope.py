@@ -32,11 +32,13 @@ from higman.envelope import (
     decompose,
     dist,
     metric_form_pair,
+    min_dfa_morphism,
     no_proper_isometric_subspace,
     pointed_isometric,
     residual_closure,
     verify_sum_theorem,
 )
+from higman.minmax import search_minmax
 
 from helpers import (
     ab,
@@ -209,6 +211,29 @@ class TestBuildEnvelope:
         aut = env.automaton()
         for w in words_upto(A, 6):
             assert accepts(aut, w) == member(F.basis, w), w
+
+    def test_build_path_reads_no_triples(self):
+        # the build, the minmax search and the DFA morphism read the
+        # successor masks alone; the triples are made when t_f is read
+        build_envelope.cache_clear()
+        for F in (
+            segment(ab(), "aa", "bb"),
+            segment(ab_ordered(), "ab", "bba"),
+            segment(abc_primed(), "a[b']", "ba"),
+        ):
+            env = build_envelope(F)
+            search_minmax(F)
+            min_dfa_morphism(F, env)
+            assert "transitions" not in vars(env.transition_system())
+            assert env.t_f == tf_system(env.alphabet, env.elements).transitions
+            assert "transitions" in vars(env.transition_system())
+
+    def test_three_cubes(self):
+        # counted as popcounts of the successor masks, with no triple made
+        env = build_envelope(segment(abc(), "aaa", "bbb", "ccc"))
+        rows = env.transition_system()._successors
+        assert len(env.elements) == 980
+        assert sum(out.bit_count() for row in rows.values() for out in row) == 790_194
 
     def test_full_segment_collapses(self):
         A = ab()

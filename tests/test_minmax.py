@@ -15,7 +15,6 @@ from higman.automata import (
 from higman.envelope import build_envelope
 from higman.minmax import (
     CapExceeded,
-    _induced,
     is_minmax,
     reproduce_main_example,
     search_minmax,
@@ -26,7 +25,7 @@ from higman.minmax_pair import (
     automaton_two,
     language,
 )
-from helpers import ab, regression_envelopes
+from helpers import ab, induced, regression_envelopes
 from oracles import isomorphic_oracle
 
 
@@ -42,7 +41,7 @@ def reference_minmax(env):
         found = [
             aut
             for extra in combinations(others, size - len(base))
-            for aut in [_induced(env, frozenset(base + extra))]
+            for aut in [induced(env, frozenset(base + extra))]
             if language_equals_segment(aut, F)[0]
         ]
         if found:
@@ -133,7 +132,7 @@ class TestSearchMinmax:
             others = [P for P in env.elements if P not in base]
             for k in range(len(others) + 1):
                 for extra in combinations(others, k):
-                    aut = _induced(env, frozenset(base + extra))
+                    aut = induced(env, frozenset(base + extra))
                     by_basis = all(accepts(aut, u) for u in F.basis)
                     assert by_basis == language_equals_segment(aut, F)[0]
                     verdicts.append(by_basis)
