@@ -23,6 +23,7 @@ from operator import and_, or_
 
 from .words import Alphabet, Word
 from .segments import (
+    MEMO_SIZE,
     FinalSegment,
     concat_seg,
     contains,
@@ -58,7 +59,9 @@ class EnvelopeLattice:
     Q and Q.up(bar a) inside P; t_f, its triples, is a view built on first
     read. extent maps each element to its bitmask and context is
     galois_context(y). Elements determine the system, extent and context,
-    which are left out of equality, hashing and repr.
+    which are left out of equality, hashing and repr. The hash is that of
+    the compared fields, computed on first use and kept outside them as
+    FinalSegment keeps its own, since the lattice is part of dist's cache key.
     """
 
     alphabet: Alphabet
@@ -69,6 +72,18 @@ class EnvelopeLattice:
     extent: dict = field(compare=False, repr=False)
     context: tuple = field(compare=False, repr=False)
     _system: TransitionSystem = field(compare=False, repr=False)
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash(
+                (self.alphabet, self.elements, self.x, self.y, self.hasse)
+            )
+            return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def t_f(self) -> frozenset:
@@ -175,8 +190,7 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     covers = frozenset(
         (segment_of[M], segment_of[E])
         for E, meets in below.items()
-        for M in meets
-        if not any(M != D and M & D == M for D in meets)
+        for M in _largest(meets)
     )
     order = sorted(segment_of, key=lambda E: seg_key(segment_of[E]))
     ordered = tuple(segment_of[E] for E in order)
@@ -204,6 +218,17 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     if not ok:
         raise RuntimeError(f"envelope acceptor disagrees with F at {witness}")
     return env
+
+
+def _largest(masks) -> list:
+    """The masks inside no other. A mask inside another lies inside a largest
+    one, which has more bits: so, largest first, each is tested only against
+    those kept."""
+    kept = []
+    for M in sorted(masks, key=int.bit_count, reverse=True):
+        if not any(M & K == M for K in kept):
+            kept.append(M)
+    return kept
 
 
 def min_dfa_morphism(F: FinalSegment, env: EnvelopeLattice | None = None) -> dict:
@@ -250,6 +275,7 @@ def dist(env: EnvelopeLattice, P: FinalSegment, Q: FinalSegment) -> FinalSegment
     return algebra_distance(P, Q)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def algebra_distance(p: FinalSegment, q: FinalSegment) -> FinalSegment:
     """The words w with p.up(w) inside q and q.up(bar w) inside p.
 
@@ -296,9 +322,17 @@ def _pointed(space) -> PointedSpace:
     return space if isinstance(space, PointedSpace) else as_pointed(space)
 
 
-def _holding(dists, w: Word) -> int:
+def _by_distance(dists) -> dict:
+    """{distance: mask of the positions at that distance}."""
+    groups = defaultdict(int)
+    for i, D in enumerate(dists):
+        groups[D] |= 1 << i
+    return groups
+
+
+def _holding(groups: dict, w: Word) -> int:
     """The mask of the positions whose distance holds w."""
-    return sum(1 << i for i, D in enumerate(dists) if contains(D, w))
+    return reduce(or_, (mask for D, mask in groups.items() if contains(D, w)), 0)
 
 
 def check_convexity(space) -> tuple[bool, list]:
@@ -306,12 +340,18 @@ def check_convexity(space) -> tuple[bool, list]:
 
     For each pair (P, Q), each basis word w of d(P, Q) and each split
     w = u v there must be a point Z with u in d(P, Z) and v in d(Z, Q).
-    Returns the offending (P, Q, u, v) quadruples when there are none such Z.
-    The points Z with u in d(P, Z) form one mask per (P, u), those with v in
-    d(Z, Q) one mask per (v, Q), and a split has a midpoint iff they meet.
+    Returns the offending (P, Q, u, v) quadruples when there are none such Z,
+    by pair in point order, then by basis word, then by cut. The points Z
+    with u in d(P, Z) form one mask per (P, u), those with v in d(Z, Q) one
+    mask per (v, Q), and a split has a midpoint iff they meet. A row d(P, .)
+    or a column d(., Q) repeats few distances, so each is grouped once into
+    {distance: mask of points}, and a mask is the OR of the groups whose
+    distance holds the word.
     """
     s = _pointed(space)
     A, points = s.alphabet, s.points
+    rows = {P: _by_distance(s.d[(P, Z)] for Z in points) for P in points}
+    cols = {Q: _by_distance(s.d[(Z, Q)] for Z in points) for Q in points}
     starts, ends = {}, {}
     witnesses = []
     for P in points:
@@ -321,9 +361,9 @@ def check_convexity(space) -> tuple[bool, list]:
                     u = Word(A, w.symbols[:cut])
                     v = Word(A, w.symbols[cut:])
                     if (P, u) not in starts:
-                        starts[P, u] = _holding((s.d[(P, Z)] for Z in points), u)
+                        starts[P, u] = _holding(rows[P], u)
                     if (v, Q) not in ends:
-                        ends[v, Q] = _holding((s.d[(Z, Q)] for Z in points), v)
+                        ends[v, Q] = _holding(cols[Q], v)
                     if not starts[P, u] & ends[v, Q]:
                         witnesses.append((P, Q, u, v))
     return not witnesses, witnesses

@@ -16,8 +16,8 @@ from .words import (
     Alphabet,
     Word,
     _check_same_alphabet,
+    _matched_prefix_len,
     concat,
-    embeds,
     involute,
     max_embeddable_prefix,
     max_embeddable_suffix,
@@ -26,7 +26,7 @@ from .words import (
     sort_key,
 )
 
-# entries kept by each memoized binary operation, intersect and concat_seg
+# entries kept by each memoized operation of the algebra
 MEMO_SIZE = 8192
 
 
@@ -81,18 +81,37 @@ def is_full(F: FinalSegment) -> bool:
     return len(F.basis) == 1 and not F.basis[0].symbols
 
 
+def _holds(leq: frozenset, basis, symbols) -> bool:
+    """Some basis word embeds in the letter sequence symbols; the alphabet
+    is the caller's to check, once per call."""
+    for u in basis:
+        n = len(u.symbols)
+        if n <= len(symbols) and _matched_prefix_len(leq, u.symbols, symbols) == n:
+            return True
+    return False
+
+
 def contains(F: FinalSegment, w: Word) -> bool:
-    return any(embeds(u, w) for u in F.basis)
+    _check_same_alphabet(F, w)
+    return _holds(F.alphabet._leq, F.basis, w.symbols)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def subset_of(F: FinalSegment, G: FinalSegment) -> bool:
     """F ⊆ G. Up-closure makes the basis check sufficient."""
-    return all(contains(G, u) for u in F.basis)
+    _check_same_alphabet(F, G)
+    return all(_holds(G.alphabet._leq, G.basis, u.symbols) for u in F.basis)
 
 
 def product_in(F: FinalSegment, G: FinalSegment, H: FinalSegment) -> bool:
     """F·G ⊆ H. F·G is generated by the basis products, so they suffice."""
-    return all(contains(H, concat(u, v)) for u in F.basis for v in G.basis)
+    _check_same_alphabet(F, G)
+    _check_same_alphabet(G, H)
+    return all(
+        _holds(H.alphabet._leq, H.basis, u.symbols + v.symbols)
+        for u in F.basis
+        for v in G.basis
+    )
 
 
 def leq(F: FinalSegment, G: FinalSegment) -> bool:
@@ -146,6 +165,7 @@ def left_residual(w: Word, F: FinalSegment) -> FinalSegment:
     )
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def involute_seg(F: FinalSegment) -> FinalSegment:
     return canonicalize(F.alphabet, [involute(u) for u in F.basis])
 

@@ -181,10 +181,13 @@ def embeds(u: Word, v: Word) -> bool:
 
 def _matched_prefix_len(leq: frozenset, u, v) -> int:
     # leq holds the pairs (a, b) with a <= b, of letters or of letter codes
-    i = 0
-    for b in v:
-        if i < len(u) and (u[i], b) in leq:
-            i += 1
+    n, i = len(u), 0
+    if n:
+        for b in v:
+            if (u[i], b) in leq:
+                i += 1
+                if i == n:
+                    break
     return i
 
 

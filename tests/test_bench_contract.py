@@ -75,7 +75,10 @@ def test_layer_metrics_find_their_caches(bench, modules):
         "segments.left_residual",
         "segments.intersect",
         "segments.concat_seg",
+        "segments.subset_of",
+        "segments.involute_seg",
         "envelope.dist",
+        "envelope.algebra_distance",
         "automata.minimal_dfa",
     ):
         assert name in found

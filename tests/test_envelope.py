@@ -272,6 +272,13 @@ class TestExtents:
         assert hash(second) == hash(first)
         assert repr(second) == repr(first)
 
+    def test_hash_is_the_hash_of_the_compared_fields_and_kept_once(self):
+        env = build_envelope(segment(ab(), "aaa", "bbb"))
+        fields = (env.alphabet, env.elements, env.x, env.y, env.hasse)
+        assert hash(env) == hash(fields) == hash(env)
+        assert env.__dict__["_hash"] == hash(fields)
+        assert "_hash" not in env.__getstate__()
+
     def test_bit_inclusion_is_segment_inclusion(self):
         for env in regression_envelopes():
             assert set(env.extent) == set(env.elements)
@@ -402,6 +409,37 @@ class TestConvexity:
             (y, x, "abb", "a"),
             (y, g, "a", "b"),
         ]
+
+
+    def test_witnesses_of_a_hand_built_space_follow_the_definition(self):
+        # x reaches y through the twins m and n, by ↑a twice, so every row
+        # and column repeats a distance; the splits b|a and b|b of d(x, y)'s
+        # basis words, and their mirror images, have no midpoint
+        A = ab()
+        full = full_segment(A)
+        up = {("x", "m"): segment(A, "a"), ("x", "n"): segment(A, "a"),
+              ("m", "y"): segment(A, "a"), ("n", "y"): segment(A, "a"),
+              ("x", "y"): segment(A, "aa", "ba", "bb"), ("m", "n"): full}
+        points = ("x", "m", "n", "y")
+        d = {(P, P): full for P in points}
+        for (P, Q), D in up.items():
+            d[P, Q], d[Q, P] = D, involute_seg(D)
+        space = PointedSpace(A, points, d, "x", "y")
+        expected = []
+        for P in points:
+            for Q in points:
+                for w in d[P, Q].basis:
+                    for cut in range(len(w) + 1):
+                        u, v = Word(A, w.symbols[:cut]), Word(A, w.symbols[cut:])
+                        if not any(
+                            member(d[P, Z].basis, u) and member(d[Z, Q].basis, v)
+                            for Z in points
+                        ):
+                            expected.append((P, Q, u, v))
+        assert len(expected) == 4
+        ok, witnesses = check_convexity(space)
+        assert not ok
+        assert witnesses == expected
 
 
 def two_point_space(F):

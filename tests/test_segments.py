@@ -22,14 +22,16 @@ from higman.segments import (
     is_full,
     left_residual,
     leq,
+    product_in,
     right_residual,
     segment,
     subset_of,
     union,
 )
+from higman.envelope import algebra_distance
 from higman.words import concat, embeds, involute
 
-from helpers import ab, ab_ordered, nonempty_words, abc_primed
+from helpers import ab, ab_ordered, abc, nonempty_words, abc_primed
 from oracles import concat_member, included, member, words_upto
 
 
@@ -310,6 +312,64 @@ def test_memoized_ops_agree_with_their_definitions_on_drawn_antichains():
                     op(F, G_other)
 
     check()
+
+
+def test_containment_kernel_agrees_with_the_oracle_on_drawn_bases():
+    """contains, subset_of and product_in against exhaustive embedding of the
+    drawn generators, over two and three letters and with a <= b; F.G lies
+    inside F and inside G, so some inclusions drawn hold, and G.F tells the
+    order of the factors apart."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    alphabets = [ab(), ab_ordered(), abc()]
+
+    @hypothesis.settings(
+        max_examples=80, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(st.data())
+    def check(data):
+        A = data.draw(st.sampled_from(alphabets))
+        text = st.text("".join(A.letters), max_size=3)
+        gens = [
+            [A.word(t) for t in data.draw(st.lists(text, max_size=3))]
+            for _ in range(3)
+        ]
+        F, G, H = (canonicalize(A, g) if g else empty_segment(A) for g in gens)
+        f, g, h = gens
+        for w in [A.word(t) for t in data.draw(st.lists(text, max_size=4))]:
+            assert contains(F, w) == member(f, w)
+        for (X, x), (Y, y) in [((F, f), (G, g)), ((G, g), (F, f)), ((F, f), (H, h))]:
+            assert subset_of(X, Y) == all(member(y, u) for u in x)
+        swapped = [concat(v, u) for v in g for u in f]
+        for Z, z in [(H, h), (F, f), (G, g), (concat_seg(G, F), swapped)]:
+            assert product_in(F, G, Z) == all(
+                member(z, concat(u, v)) for u in f for v in g
+            )
+
+    check()
+
+
+def test_memoized_subset_of_raises_on_every_mixed_alphabet_call():
+    F = segment(ab(), "ab")
+    G = segment(ab_ordered(), "ab")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="different alphabets"):
+            subset_of(F, G)
+    assert subset_of(F, segment(ab(), "a"))
+
+
+def test_memoized_distance_and_involution_survive_a_cleared_cache():
+    A = ab_ordered()
+    bases = [segment(A, *texts) for texts in (["ab"], ["aa", "b"], ["ba", "aab"], [""])]
+    pairs = [(p, q) for p in bases for q in bases]
+    before = [(algebra_distance(p, q), involute_seg(p)) for p, q in pairs]
+    algebra_distance.cache_clear()
+    involute_seg.cache_clear()
+    after = [(algebra_distance(p, q), involute_seg(p)) for p, q in pairs]
+    assert after == before
+    assert [algebra_distance.__wrapped__(p, q) for p, q in pairs] == [
+        D for D, _ in before
+    ]
 
 
 def test_hash_is_the_hash_of_the_fields():
