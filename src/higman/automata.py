@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 
-from .words import Alphabet, Word
+from .words import MEMO_SIZE, Alphabet, Word
 from .segments import FinalSegment, canonicalize, is_full, left_residual
 
 
@@ -195,7 +195,7 @@ def accepts(aut: Automaton, w: Word) -> bool:
     return bool(current & ts._mask(aut.final))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def minimal_dfa(F: FinalSegment) -> Dfa:
     """Left-residual closure of F; start F, accepting exactly A*.
 

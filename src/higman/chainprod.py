@@ -174,13 +174,12 @@ def _residual_tuples(env: EnvelopeLattice, generators: tuple) -> list:
     F/(av) = (F/v)/a, and each greedy suffix match advances by at most one.
     """
     A = env.alphabet
-    _, pre, _ = env.context
     dims = tuple(len(u.symbols) for u in generators)
 
     def step(state):
         E, sigma = state
         for a in A.letters:
-            yield pre(a, E), tuple(
+            yield env.context.pre(a, E), tuple(
                 s + 1 if s < n and A.leq(u.symbols[n - 1 - s], a) else s
                 for s, n, u in zip(sigma, dims, generators)
             )

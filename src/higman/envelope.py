@@ -20,6 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import and_, or_
+from typing import NamedTuple
 
 from .words import Alphabet, Word
 from .segments import (
@@ -48,6 +49,28 @@ from .automata import (
 )
 
 
+class GaloisContext(NamedTuple):
+    """The Galois context of F on the states of minimal_dfa(F), the left
+    quotients u^-1 F, numbered by position. succ[a][i] is the position of
+    delta(states[i], a); preds[a][j] is the mask of the i with succ[a][i] = j.
+    columns maps the column of each residual F/w, the mask of the quotients
+    holding w, to F/w; every quotient is reached, so inclusion of residuals
+    is inclusion of columns."""
+
+    states: tuple
+    succ: dict
+    preds: dict
+    columns: dict
+
+    def pre(self, a: str, E: int) -> int:
+        """{L : delta(L, a) in E} on masks, an OR of predecessor masks. Each L
+        has one a-successor, so pre_a of a complement is the complement of
+        pre_a: an E holding over half the states is read through its own."""
+        k = len(self.states)
+        flip = (1 << k) - 1 if 2 * E.bit_count() > k else 0
+        return flip ^ reduce(or_, (self.preds[a][j] for j in _bits(E ^ flip)), 0)
+
+
 @dataclass(frozen=True)
 class EnvelopeLattice:
     """The envelope as a lattice of final segments plus its transition system.
@@ -58,11 +81,9 @@ class EnvelopeLattice:
     involutive system on the elements holds (P, a, Q) iff P.up(a) lies inside
     Q and Q.up(bar a) inside P; t_f, its triples, is a view built on first
     read. extent maps each element to its bitmask and context is
-    galois_context(y). Elements determine the system, extent and context,
-    which are left out of equality, hashing and repr. The hash is that of
-    the compared fields, computed on first use and kept outside them as
-    FinalSegment keeps its own, since the lattice is part of dist's cache key.
-    """
+    galois_context(y). y determines the elements, and they the system, extent
+    and context, which are left out of equality and repr; so the hash, which
+    dist's cache key needs, is hash(y), kept by y itself."""
 
     alphabet: Alphabet
     elements: tuple
@@ -70,20 +91,11 @@ class EnvelopeLattice:
     y: FinalSegment
     hasse: frozenset
     extent: dict = field(compare=False, repr=False)
-    context: tuple = field(compare=False, repr=False)
+    context: GaloisContext = field(compare=False, repr=False)
     _system: TransitionSystem = field(compare=False, repr=False)
 
     def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash(
-                (self.alphabet, self.elements, self.x, self.y, self.hasse)
-            )
-            return h
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return hash(self.y)
 
     @property
     def t_f(self) -> frozenset:
@@ -96,32 +108,27 @@ class EnvelopeLattice:
         return Automaton(self._system, frozenset({self.x}), frozenset({self.y}))
 
 
-def galois_context(F: FinalSegment) -> tuple:
-    """The Galois context of F on the states of minimal_dfa(F), from the one
-    walk of F's right residuals.
-
-    Returns (index, pre, columns). index numbers the states, the left
-    quotients u^-1 F, as bits; pre(a, E) = {L : delta(L, a) in E} on masks.
-    columns maps the column of each residual F/w, the mask of the quotients
-    holding w, to F/w, in breadth-first order from F = F/ε by single
-    letters, stepping by F/(aw) = (F/w)/a and pre_a at once. Every quotient
-    is reached, so inclusion of residuals is inclusion of columns.
-    """
+def galois_context(F: FinalSegment) -> GaloisContext:
+    """The Galois context of F, from one breadth-first walk of its right
+    residuals by single letters from F = F/ε: a step takes F/w to
+    F/(aw) = (F/w)/a and its column to pre_a of that column at once."""
     A = F.alphabet
     dfa = minimal_dfa(F)
     index = {L: i for i, L in enumerate(dfa.states)}
-    succ = {a: [index[dfa.delta[(L, a)]] for L in dfa.states] for a in A.letters}
-
-    def pre(a, E):
-        return sum(1 << i for i, j in enumerate(succ[a]) if E >> j & 1)
+    succ = {a: tuple(index[dfa.delta[L, a]] for L in dfa.states) for a in A.letters}
+    preds = {a: [0] * len(index) for a in A.letters}
+    for (L, a), L2 in dfa.delta.items():
+        preds[a][index[L2]] |= 1 << index[L]
+    context = GaloisContext(dfa.states, succ, preds, {})
+    letters = [(a, Word(A, (a,))) for a in A.letters]
 
     def step(column):
         R, E = column
-        return [(right_residual(R, Word(A, (a,))), pre(a, E)) for a in A.letters]
+        return [(right_residual(R, w), context.pre(a, E)) for a, w in letters]
 
     accepting = sum(1 << index[L] for L in dfa.accepting)
     columns = {E: R for R, E in closure([(F, accepting)], step)}
-    return index, pre, columns
+    return context._replace(columns=columns)
 
 
 def residual_closure(F: FinalSegment) -> set[FinalSegment]:
@@ -133,10 +140,10 @@ def residual_closure(F: FinalSegment) -> set[FinalSegment]:
     """
     if is_empty(F):
         raise ValueError("the empty segment has no residual closure")
-    return set(galois_context(F)[2].values())
+    return set(galois_context(F).columns.values())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     """The envelope of F, built on the bitmasks of galois_context(F).
 
@@ -155,8 +162,7 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
         raise ValueError("the empty segment has no envelope")
     A = F.alphabet
     context = galois_context(F)
-    index, pre, columns = context
-    dfa = minimal_dfa(F)
+    columns, succ, pre = context.columns, context.succ, context.pre
     below = {}
     ways = defaultdict(list)
 
@@ -194,17 +200,15 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     )
     order = sorted(segment_of, key=lambda E: seg_key(segment_of[E]))
     ordered = tuple(segment_of[E] for E in order)
-    # Bit j of holds[o] says order[j] holds object o; of after[a][o], delta(o,a).
-    # Q is an a-successor of P iff Q is in after[a][o] for each o in E_P (there
-    # is one: all hold A*) and in no holds[o] with o outside pre_{bar a}(E_P).
-    holds = [
-        sum(1 << j for j, E in enumerate(order) if E >> o & 1) for o in index.values()
-    ]
-    after = {a: [holds[index[dfa.delta[L, a]]] for L in index] for a in A.letters}
-    objects = (1 << len(index)) - 1
+    # Bit j of holds[o] says order[j] holds object o. Q is an a-successor of
+    # P iff Q holds delta(o, a) for each o in E_P (there is one: all hold A*)
+    # and holds no object outside pre_{bar a}(E_P).
+    k = len(context.states)
+    holds = [sum(1 << j for j, E in enumerate(order) if E >> o & 1) for o in range(k)]
+    objects = (1 << k) - 1
 
     def successors(a, E):
-        up = reduce(and_, (after[a][o] for o in _bits(E)))
+        up = reduce(and_, (holds[succ[a][o]] for o in _bits(E)))
         out = reduce(or_, (holds[o] for o in _bits(objects & ~pre(A.bar(a), E))), 0)
         return up & ~out
 
@@ -246,24 +250,25 @@ def min_dfa_morphism(F: FinalSegment, env: EnvelopeLattice | None = None) -> dic
     env = build_envelope(F) if env is None else env
     if env.y != F:
         raise ValueError("the envelope was built for another segment")
-    index, _, columns = env.context
+    context, ts = env.context, env.transition_system()
     element = {E: P for P, E in env.extent.items()}
     image = {}
-    for L, i in index.items():
-        M = reduce(and_, (C for C in columns if C >> i & 1))
+    for i, L in enumerate(context.states):
+        M = reduce(and_, (C for C in context.columns if C >> i & 1))
         if M not in element:
             raise RuntimeError(f"morphism image of {L!r} is not an envelope element")
         image[L] = element[M]
     if image[F] != env.x or image[full_segment(F.alphabet)] != env.y:
         raise RuntimeError("morphism does not send start to x and accepting to y")
-    ts = env.transition_system()
-    for (L, a), L2 in minimal_dfa(F).delta.items():
-        if not ts._successors[a][ts._index[image[L]]] >> ts._index[image[L2]] & 1:
-            raise RuntimeError("morphism transition missing from envelope system")
+    at = [ts._index[image[L]] for L in context.states]
+    for a, row in context.succ.items():
+        for i, j in enumerate(row):
+            if not ts._successors[a][at[i]] >> at[j] & 1:
+                raise RuntimeError("morphism transition missing from envelope system")
     return image
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def dist(env: EnvelopeLattice, P: FinalSegment, Q: FinalSegment) -> FinalSegment:
     """Distance between two envelope elements: algebra_distance(P, Q).
 
@@ -307,14 +312,9 @@ class PointedSpace:
     x: object
     y: object
 
-    def distance(self, p, q) -> FinalSegment:
-        return self.d[(p, q)]
-
 
 def as_pointed(env: EnvelopeLattice) -> PointedSpace:
-    table = {
-        (P, Q): dist(env, P, Q) for P in env.elements for Q in env.elements
-    }
+    table = {(P, Q): dist(env, P, Q) for P in env.elements for Q in env.elements}
     return PointedSpace(env.alphabet, env.elements, table, env.x, env.y)
 
 

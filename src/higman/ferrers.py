@@ -28,7 +28,7 @@ def is_ferrers_segment(F: FinalSegment) -> tuple[bool, tuple | None]:
     """
     if is_empty(F):
         return True, None
-    residuals = galois_context(F)[2]
+    residuals = galois_context(F).columns
     masks = list(residuals)
     for i, H in enumerate(masks):
         for S in masks[:i]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .words import (
+    MEMO_SIZE,
     Alphabet,
     Word,
     _check_same_alphabet,
@@ -25,9 +26,6 @@ from .words import (
     minimal_words,
     sort_key,
 )
-
-# entries kept by each memoized operation of the algebra
-MEMO_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ def concat_seg(F: FinalSegment, G: FinalSegment) -> FinalSegment:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def right_residual(F: FinalSegment, w: Word) -> FinalSegment:
     """{x : xw ∈ F}.
 
@@ -157,7 +155,7 @@ def right_residual(F: FinalSegment, w: Word) -> FinalSegment:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def left_residual(w: Word, F: FinalSegment) -> FinalSegment:
     """{v : wv ∈ F}; mirror image of right_residual."""
     return canonicalize(

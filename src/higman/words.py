@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+# entries per memoized function; the 63,504 distances of a 252-element envelope fit
+MEMO_SIZE = 1 << 16
+
 
 class Alphabet:
     """Finite letter set with a partial order and an order-preserving involution.
@@ -239,7 +242,7 @@ def minimal_words(words) -> tuple[Word, ...]:
     return tuple(sorted((pool[s] for s in kept), key=sort_key))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _letter_codes(A: Alphabet) -> tuple:
     """Letter i written as chr(i), with the letter order and the minimal
     upper bounds of letter pairs carried over to the codes."""
@@ -252,7 +255,7 @@ def _letter_codes(A: Alphabet) -> tuple:
     return code, leq, mubs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _mub_tuples(u: Word, v: Word) -> frozenset:
     code, leq, mubs = _letter_codes(u.alphabet)
     # words as strings of letter codes, which are cheap to extend and hash

@@ -1,7 +1,12 @@
-"""Shared alphabets, the regression family, and an independent transition rule."""
+"""Shared alphabets, the regression family, an independent transition rule,
+and a child process under another hash seed."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 from higman.words import Alphabet, Word, concat, embeds, sort_key
 from higman.segments import FinalSegment, canonicalize, contains
@@ -97,3 +102,19 @@ def induced(env, subset: frozenset) -> Automaton:
     )
     system = TransitionSystem(env.alphabet, states, trans)
     return Automaton(system, frozenset({env.x}), frozenset({env.y}))
+
+
+def output_under_another_hash_seed(script: str) -> bytes:
+    """The stdout of a Python script run as a child process whose
+    PYTHONHASHSEED differs from this process's, with src/ and tests/ on its
+    path: str hashes differ between the two."""
+    root = Path(__file__).resolve().parent.parent
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+        capture_output=True,
+        check=True,
+        timeout=60,
+    ).stdout

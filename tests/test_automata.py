@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -436,6 +437,20 @@ class TestMinDfaMorphism:
             for (Y, a), Y2 in dfa.delta.items():
                 assert times_letter_in(image[Y], a, image[Y2])
                 assert times_letter_in(image[Y2], A.bar(a), image[Y])
+
+    def test_missing_image_transition_is_caught(self):
+        # every image edge is load-bearing: drop one from the envelope's
+        # system and the morphism check must refuse it
+        A = ab()
+        F = segment(A, "aa", "bb")
+        env = build_envelope(F)
+        image = min_dfa_morphism(F, env)
+        for (L, a), L2 in minimal_dfa(F).delta.items():
+            edge = (image[L], a, image[L2])
+            system = TransitionSystem(A, env.elements, env.t_f - {edge})
+            broken = replace(env, _system=system)
+            with pytest.raises(RuntimeError, match="morphism transition missing"):
+                min_dfa_morphism(F, broken)
 
     def test_verifies_on_samples(self):
         for A in (ab(), ab_ordered(), abc_primed()):

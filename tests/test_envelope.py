@@ -1,3 +1,4 @@
+import pickle
 import random
 from functools import reduce
 from itertools import combinations
@@ -21,8 +22,10 @@ from higman.automata import (
     accepted_basis,
     accepts,
     is_reflexive_involutive,
+    minimal_dfa,
 )
 from higman.envelope import (
+    EnvelopeLattice,
     PointedSpace,
     algebra_distance,
     as_pointed,
@@ -45,6 +48,7 @@ from helpers import (
     ab_ordered,
     abc,
     abc_primed,
+    output_under_another_hash_seed,
     regression_bases,
     regression_envelopes,
     tf_system,
@@ -261,6 +265,18 @@ class TestBuildEnvelope:
             build_envelope(empty_segment(ab()))
 
 
+# pickles an envelope whose distance from x to y is already cached
+PICKLE_ENVELOPE = """
+import pickle, sys
+from higman.envelope import build_envelope, dist
+from higman.segments import segment
+from helpers import ab
+env = build_envelope(segment(ab(), "aaa", "bbb"))
+assert dist(env, env.x, env.y) == env.y
+sys.stdout.buffer.write(pickle.dumps(env))
+"""
+
+
 class TestExtents:
     def test_left_out_of_equality_hash_and_repr(self):
         F = segment(ab(), "aa", "bb")
@@ -272,12 +288,42 @@ class TestExtents:
         assert hash(second) == hash(first)
         assert repr(second) == repr(first)
 
-    def test_hash_is_the_hash_of_the_compared_fields_and_kept_once(self):
-        env = build_envelope(segment(ab(), "aaa", "bbb"))
-        fields = (env.alphabet, env.elements, env.x, env.y, env.hasse)
-        assert hash(env) == hash(fields) == hash(env)
-        assert env.__dict__["_hash"] == hash(fields)
-        assert "_hash" not in env.__getstate__()
+    def test_hash_is_the_hash_of_y(self):
+        F = segment(ab(), "aaa", "bbb")
+        env = build_envelope(F)
+        assert hash(env) == hash(env.y) == hash(F)
+        build_envelope.cache_clear()
+        rebuilt = build_envelope(F)
+        assert rebuilt is not env and hash(rebuilt) == hash(env)
+        assert "_hash" not in vars(env)
+        assert "__getstate__" not in vars(EnvelopeLattice)
+
+    def test_pickled_envelope_is_found_under_another_hash_seed(self):
+        F = segment(ab(), "aaa", "bbb")
+        env = pickle.loads(output_under_another_hash_seed(PICKLE_ENVELOPE))
+        local = build_envelope(F)
+        assert env == local and hash(env) == hash(local)
+        # the loaded envelope finds the distance cached under the local one
+        D = dist(local, local.x, local.y)
+        hits = dist.cache_info().hits
+        assert dist(env, env.x, env.y) == D == F
+        assert dist.cache_info().hits == hits + 1
+        assert min_dfa_morphism(F, env) == min_dfa_morphism(F, local)
+
+    def test_context_tables_follow_the_minimal_dfa(self):
+        # pre reads a dense mask through its complement; both ways must give
+        # the preimage under the successor table
+        for env in regression_envelopes():
+            context, dfa = env.context, minimal_dfa(env.y)
+            assert context.states == dfa.states
+            masks = set(context.columns) | set(env.extent.values())
+            for a, row in context.succ.items():
+                assert [dfa.states[j] for j in row] == [
+                    dfa.delta[L, a] for L in dfa.states
+                ]
+                for E in masks | {~E & ((1 << len(row)) - 1) for E in masks}:
+                    want = sum(1 << i for i, j in enumerate(row) if E >> j & 1)
+                    assert context.pre(a, E) == want
 
     def test_bit_inclusion_is_segment_inclusion(self):
         for env in regression_envelopes():

@@ -1,9 +1,14 @@
 """The package imports only itself and the standard library, as the README
-promises."""
+promises, and bounds every cache it keeps."""
 
 import ast
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
+
+import higman
+from higman.segments import MEMO_SIZE
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "higman"
 
@@ -25,3 +30,30 @@ def test_stdlib_only():
                 (path.name, n) for n in names if n.split(".")[0] not in allowed
             ]
     assert not outside
+
+
+def test_every_cache_is_bounded():
+    # found by their cache_clear method, as the benchmark finds them
+    caches = {}
+    for info in pkgutil.iter_modules(higman.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the command line
+        mod = importlib.import_module(f"higman.{info.name}")
+        for value in vars(mod).values():
+            if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info"):
+                caches[f"{value.__module__}.{value.__qualname__}"] = value
+    assert {
+        "higman.words._letter_codes",
+        "higman.words._mub_tuples",
+        "higman.segments.right_residual",
+        "higman.segments.left_residual",
+        "higman.automata.minimal_dfa",
+        "higman.envelope.build_envelope",
+        "higman.envelope.dist",
+    } <= caches.keys()
+    unbounded = {
+        name: c.cache_parameters()["maxsize"]
+        for name, c in caches.items()
+        if c.cache_parameters()["maxsize"] != MEMO_SIZE
+    }
+    assert not unbounded

@@ -1,11 +1,7 @@
 """Canonical bases and the segment algebra, pinned values and laws."""
 
-import os
 import pickle
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -31,7 +27,14 @@ from higman.segments import (
 from higman.envelope import algebra_distance
 from higman.words import concat, embeds, involute
 
-from helpers import ab, ab_ordered, abc, nonempty_words, abc_primed
+from helpers import (
+    ab,
+    ab_ordered,
+    abc,
+    abc_primed,
+    nonempty_words,
+    output_under_another_hash_seed,
+)
 from oracles import concat_member, included, member, words_upto
 
 
@@ -393,16 +396,7 @@ sys.stdout.buffer.write(pickle.dumps(F))
 def test_pickled_segment_is_found_under_another_hash_seed():
     """str hashes differ between processes, so no stored hash travels with
     a pickled segment or its alphabet."""
-    root = Path(__file__).resolve().parent.parent
-    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
-    blob = subprocess.run(
-        [sys.executable, "-c", PICKLE_SEGMENT],
-        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
-        capture_output=True,
-        check=True,
-        timeout=60,
-    ).stdout
+    blob = output_under_another_hash_seed(PICKLE_SEGMENT)
     F = pickle.loads(blob)
     A = ab()
     assert F in {segment(A, "a"), segment(A, "ab", "ba"), full_segment(A)}
