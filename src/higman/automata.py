@@ -179,8 +179,10 @@ def _step(ts: TransitionSystem, mask: int, a: str) -> int:
     """The mask of the states one a-transition away from the states in mask."""
     row = ts._successors[a]
     out = 0
-    for i in _bits(mask):
-        out |= row[i]
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

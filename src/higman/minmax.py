@@ -6,6 +6,13 @@ search ranges over subsets of envelope elements containing both base points.
 The envelope automaton accepts exactly F, and inducing keeps the loops and
 the up-closed transitions, so each candidate accepts an up-closed part of F:
 it accepts all of F exactly when it accepts every basis word of F.
+
+Only the useful elements U can belong to an acceptor of least size: x, y and
+the states on an accepting run, in the envelope, of some basis word of F. In
+a least acceptor S every state lies on an accepting run inside S of some
+basis word, for otherwise S without it would still accept every basis word;
+a run inside S is a run in the envelope. So the search ranges over the
+subsets of U, and every acceptor of least size is among them.
 """
 
 from __future__ import annotations
@@ -44,18 +51,38 @@ def _induced(env: EnvelopeLattice, S: int) -> Automaton:
     return Automaton(system, frozenset({env.x}), frozenset({env.y}))
 
 
+def _useful(ts: TransitionSystem, basis, x: int, y: int) -> int:
+    """The mask of x, y and every state on an accepting run of a basis word:
+    for each u and k, the states reached from x by u[:k] that reach y by
+    u[k:]. The system is involutive, so the a-predecessors of a mask are its
+    a-bar-successors."""
+    bar, useful = ts.alphabet.bar, x | y
+    for u in basis:
+        ahead = [x]
+        for a in u.symbols:
+            ahead.append(_step(ts, ahead[-1], a))
+        behind = y
+        for k in reversed(range(len(u.symbols))):
+            behind = _step(ts, behind, bar(u.symbols[k]))
+            useful |= ahead[k] & behind
+    return useful
+
+
 def search_minmax(F: FinalSegment, cap: int = 20):
     """All acceptors of F with the least state count and, among those, the
     most transitions, up to isomorphism, plus that (states, transitions)
-    pair, from the induced subsets of the envelope by size.
+    pair, from the induced subsets of the useful elements by size.
 
     Bit i of a candidate S stands for env.elements[i], position i of the
     envelope's transition system ts. So the induced subautomaton on S moves
     a state mask cur to _step(ts, cur, a) & S. A basis word is run from x's
     bit and accepted when the last mask holds y's bit; the transitions
     induced on S number the popcounts of ts._successors[a][i] & S over i in
-    S. Subsets come in `combinations` order, and only those with the most
-    transitions become automata, from the same masks.
+    S. Candidates hold x, y and other positions of the mask U of useful
+    elements (see the module docstring), taken in `combinations` order, the
+    order of the subsets of all positions with the rest left out; only those
+    with the most transitions become automata, from the same masks. cap
+    bounds the number of envelope elements, not of useful ones.
     """
     if is_empty(F):
         raise ValueError("no automaton accepts the empty segment")
@@ -81,8 +108,8 @@ def search_minmax(F: FinalSegment, cap: int = 20):
 
     base = x | y
     k = base.bit_count()
-    others = [1 << i for i in range(n) if not base >> i & 1]
-    for size in range(k, n + 1):
+    others = [1 << i for i in _bits(_useful(ts, F.basis, x, y) & ~base)]
+    for size in range(k, k + len(others) + 1):
         found = []
         for extra in combinations(others, size - k):
             S = base | sum(extra)

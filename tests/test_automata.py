@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -280,6 +281,19 @@ class TestIndexedStep:
                     assert _step(ts, ts._mask(S), a) == ts._mask(scan_step(ts, S, a))
             for w in words_upto(A, 3 if len(A.letters) == 2 else 2):
                 assert accepts(aut, w) == scan_accepts(aut, w), w
+
+    def test_is_the_or_of_the_rows_of_the_mask_bits(self):
+        rng = random.Random(23)
+        checked = 0
+        for env in regression_envelopes():
+            ts = env.transition_system()
+            n = len(ts.states)
+            for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]:
+                for a, row in ts._successors.items():
+                    rows = [row[i] for i in range(n) if mask >> i & 1]
+                    assert _step(ts, mask, a) == reduce(or_, rows, 0)
+                    checked += 1
+        assert checked == 8 * 2 * 81
 
     def test_table_leaves_equality_and_hash(self):
         # the envelope's system is built from its rows, the other from its

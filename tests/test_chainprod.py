@@ -35,7 +35,13 @@ from higman.chainprod import (
     verify_full_embedding,
 )
 from helpers import ab, ab_ordered, abc, nonempty_words, regression_bases
-from oracles import antichain_count_oracle, upset_count_oracle
+from oracles import (
+    antichain_count_oracle,
+    grid_points,
+    member,
+    upset_count_oracle,
+    words_upto,
+)
 
 
 class TestChainProduct:
@@ -322,6 +328,51 @@ class TestRoundTripFamilies:
             cp = ChainProduct(tuple(len(u.symbols) for u in F.basis))
             for X in env.elements:
                 assert psi(cp, phi(env, X), F.basis) == X, format_segment(F)
+
+    def test_round_trip_on_drawn_antichains(self):
+        # psi's value is checked by ==, and its meaning from the definition:
+        # w lies in psi(Y) iff for every grid point p outside Y it lies above
+        # some generator prefix of length p_i + 1
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(
+            max_examples=60, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(
+            st.sampled_from([ab(), ab_ordered(), abc()]),
+            st.lists(
+                st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                min_size=2,
+                max_size=3,
+            ),
+        )
+        def check(A, picks):
+            k = len(A.letters)
+            gens = [
+                Word(A, tuple(A.letters[i % k] for i in pick[: 3 if k == 2 else 2]))
+                for pick in picks
+            ]
+            F = canonicalize(A, gens)
+            hypothesis.assume(len(F.basis) == len(gens))
+            env = build_envelope(F)
+            dims = tuple(len(u.symbols) for u in F.basis)
+            cp = ChainProduct(dims)
+            for X in env.elements:
+                Y = phi(env, X)
+                assert psi(cp, Y, F.basis) == X, format_segment(X)
+                outside = [
+                    p for p in grid_points(dims)
+                    if not any(all(a >= b for a, b in zip(p, t)) for t in Y.mintuples)
+                ]
+                for w in words_upto(A, 4):
+                    in_psi = all(
+                        member([Word(A, u.symbols[: i + 1]) for u, i in zip(F.basis, p)], w)
+                        for p in outside
+                    )
+                    assert in_psi == member(X.basis, w), (format_segment(X), w)
+
+        check()
 
     def test_phi_meets_on_non_disjoint_case(self):
         A = ab()

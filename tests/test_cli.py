@@ -204,6 +204,13 @@ class TestMinmaxCommand:
         assert code == 3
         assert "cap exceeded" in err
 
+    def test_raised_cap_covers_the_whole_envelope(self, capsys, tmp_path):
+        # {aaaa,bbbb} has 70 envelope elements, 8 of them useful
+        data = {"letters": ["a", "b"], "generators": ["aaaa", "bbbb"]}
+        code, out, _ = run(capsys, "minmax", spec_file(tmp_path, data), "--cap", "70")
+        assert code == 0
+        assert out == '{"states": 8, "transitions": 32, "count": 1}\n'
+
     def test_exports(self, capsys, tmp_path):
         dot = tmp_path / "mm.dot"
         dump = tmp_path / "mm.json"

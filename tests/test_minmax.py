@@ -4,9 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from higman.words import Alphabet
 from higman.segments import empty_segment, full_segment, segment
 from higman.automata import (
     Automaton,
+    _bits,
+    _step,
     accepts,
     is_reflexive_involutive,
     language_equals_segment,
@@ -15,6 +18,8 @@ from higman.automata import (
 from higman.envelope import build_envelope
 from higman.minmax import (
     CapExceeded,
+    _induced,
+    _useful,
     is_minmax,
     reproduce_main_example,
     search_minmax,
@@ -26,7 +31,7 @@ from higman.minmax_pair import (
     language,
 )
 from helpers import ab, induced, regression_envelopes
-from oracles import isomorphic_oracle
+from oracles import isomorphic_oracle, member, words_upto
 
 
 def reference_minmax(env):
@@ -54,6 +59,72 @@ def reference_minmax(env):
                     reps.append(aut)
             return reps, (size, best)
     raise AssertionError("the envelope automaton accepts F")
+
+
+def full_envelope_minmax(env):
+    """The mask search over subsets of every envelope element, as it was
+    before the search kept to the useful elements."""
+    F = env.y
+    ts = env.transition_system()
+    rows = list(ts._successors.values())
+    x, y = ts._mask({env.x}), ts._mask({env.y})
+
+    def accepts_basis(S):
+        for u in F.basis:
+            cur = x
+            for a in u.symbols:
+                cur = _step(ts, cur, a) & S
+            if not cur & y:
+                return False
+        return True
+
+    def transitions(S):
+        return sum((row[i] & S).bit_count() for i in _bits(S) for row in rows)
+
+    n = len(env.elements)
+    base = x | y
+    k = base.bit_count()
+    others = [1 << i for i in range(n) if not base >> i & 1]
+    for size in range(k, n + 1):
+        found = []
+        for extra in combinations(others, size - k):
+            S = base | sum(extra)
+            if accepts_basis(S):
+                found.append((S, transitions(S)))
+        if found:
+            best = max(t for _, t in found)
+            reps = []
+            for S in (S for S, t in found if t == best):
+                aut = _induced(env, S)
+                if not any(isomorphic(aut, r)[0] for r in reps):
+                    reps.append(aut)
+            return reps, (size, best)
+    raise AssertionError("the envelope automaton accepts F")
+
+
+def useful_states(env) -> set:
+    """x, y and every state on an accepting run of a basis word of F, from
+    the envelope's transition triples walked forward from x and backward
+    from y."""
+    F, T = env.y, env.transition_system().transitions
+    useful = {env.x, env.y}
+    for u in F.basis:
+        ahead = [{env.x}]
+        for a in u.symbols:
+            ahead.append({q for p, b, q in T if b == a and p in ahead[-1]})
+        behind = {env.y}
+        for k in reversed(range(len(u.symbols))):
+            a = u.symbols[k]
+            behind = {p for p, b, q in T if b == a and q in behind}
+            useful |= ahead[k] & behind
+    return useful
+
+
+def accepts_by_triples(aut: Automaton, w) -> bool:
+    current = set(aut.initial)
+    for a in w.symbols:
+        current = {q for p, b, q in aut.system.transitions if b == a and p in current}
+    return bool(current & aut.final)
 
 
 class TestSearchMinmax:
@@ -153,6 +224,47 @@ class TestSearchMinmax:
                 assert sum(isomorphic_oracle(aut, r) for r in reps) == 1, env.y
             checked += 1
         assert checked == 76
+
+    def test_agrees_with_the_search_over_every_element(self):
+        # every regression envelope has at most 20 elements
+        for env in regression_envelopes():
+            assert len(env.elements) <= 20
+            ts = env.transition_system()
+            results, sizes = search_minmax(env.y)
+            assert (results, sizes) == full_envelope_minmax(env), env.y
+            useful = useful_states(env)
+            x, y = ts._mask({env.x}), ts._mask({env.y})
+            assert _useful(ts, env.y.basis, x, y) == ts._mask(useful), env.y
+            for aut in results:
+                assert set(aut.system.states) <= useful, env.y
+
+
+class TestUsefulStatesOnLargeEnvelopes:
+    # cap counts envelope elements: each envelope here is far above the
+    # default cap, although its useful elements are few
+    @pytest.mark.parametrize(
+        "letters, texts, elements, pins",
+        [
+            ("ab", ("aaaa", "bbbb"), 70, (8, 32, 1)),
+            ("ab", ("aaaaa", "bbbbb"), 252, (10, 40, 1)),
+            ("abc", ("aaa", "bbb", "ccc"), 980, (8, 42, 1)),
+        ],
+    )
+    def test_pinned_and_checked_by_oracles(self, letters, texts, elements, pins):
+        A = Alphabet(list(letters))
+        F = segment(A, *texts)
+        with pytest.raises(CapExceeded):
+            search_minmax(F)
+        with pytest.raises(CapExceeded):
+            search_minmax(F, cap=elements - 1)
+        results, (states, transitions) = search_minmax(F, cap=elements)
+        assert (states, transitions, len(results)) == pins
+        for aut in results:
+            assert is_reflexive_involutive(aut.system)
+            assert language_equals_segment(aut, F) == (True, None)
+            assert len(aut.system.transitions) == transitions
+            for w in words_upto(A, 5):
+                assert accepts_by_triples(aut, w) == member(F.basis, w), w
 
 
 class TestIsMinmax:
