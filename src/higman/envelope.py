@@ -5,7 +5,9 @@ minimal_dfa(F). Its objects are the states of that automaton, the left
 quotients u^-1 F. A word u lies in the right residual F/w exactly when w lies
 in u^-1 F, so each residual is a set of objects, its column; an element is
 its extent, an AND of columns, and inclusion is bit inclusion. Every object is
-the quotient of some word, so distinct extents are distinct segments. The
+the quotient of some word, so distinct extents are distinct segments, and the
+segment of an extent E is {u : u^-1 F in E}, the language of minimal_dfa(F)
+with E as its accepting set; its basis is read off that automaton. The
 transition system over single letters is an acceptor of F. The distance
 between two elements is algebraic: d(P, Q) holds the words w with P.up(w)
 inside Q and Q.up(bar w) inside P. It equals the language of paths P -> Q in
@@ -40,7 +42,6 @@ from .segments import (
 from .automata import (
     Automaton,
     TransitionSystem,
-    _bits,
     articulation_states,
     closure,
     find_bijection,
@@ -68,7 +69,12 @@ class GaloisContext(NamedTuple):
         pre_a: an E holding over half the states is read through its own."""
         k = len(self.states)
         flip = (1 << k) - 1 if 2 * E.bit_count() > k else 0
-        return flip ^ reduce(or_, (self.preds[a][j] for j in _bits(E ^ flip)), 0)
+        row, E, out = self.preds[a], E ^ flip, 0
+        while E:
+            low = E & -E
+            out |= row[low.bit_length() - 1]
+            E ^= low
+        return flip ^ out
 
 
 @dataclass(frozen=True)
@@ -148,15 +154,15 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     """The envelope of F, built on the bitmasks of galois_context(F).
 
     The extents are the columns closed under "AND with a column"; all ones is
-    x = A* and the accepting mask is y = F. Each extent that is not a column
-    gets its segment form, which display, export and dist read, from one
-    intersect: a parent extent's segment with a column's residual, taking the
-    pair with the fewest basis pairs. The lower covers of an extent are the
-    largest of its meets with the columns not above it. (P, a, Q) is a
-    transition iff E_P lies inside pre_a(E_Q) and E_Q inside pre_{bar a}(E_P),
-    so each successor mask is an AND and an OR of the masks of the elements
-    holding each object. The automaton from x = A* to y = F accepts exactly
-    F; this is re-checked on every construction.
+    x = A* and the accepting mask is y = F. A column's segment form, which
+    display, export and dist read, is its residual; any other extent E gets
+    the language of minimal_dfa(F) with E as its accepting set, read off the
+    automaton by _forms with no meet of segments. The lower covers of an
+    extent are the largest of its meets with the columns not above it.
+    (P, a, Q) is a transition iff E_P lies inside pre_a(E_Q) and E_Q inside
+    pre_{bar a}(E_P), so each successor mask is an AND and an OR of the masks
+    of the elements holding each object. The automaton from x = A* to y = F
+    accepts exactly F; this is re-checked on every construction.
     """
     if is_empty(F):
         raise ValueError("the empty segment has no envelope")
@@ -164,33 +170,18 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     context = galois_context(F)
     columns, succ, pre = context.columns, context.succ, context.pre
     below = {}
-    ways = defaultdict(list)
 
     def meets_below(E):
         # E ∧ C = E exactly when E ⊆ C, so only the other columns give meets
         # below E; every AND of columns is reached one column at a time
-        meets = below[E] = set()
-        for C in columns:
-            M = E & C
-            if M != E:
-                meets.add(M)
-                ways[M].append((E, C))
+        meets = below[E] = {E & C for C in columns}
+        meets.discard(E)
         return meets
 
     # all ones is a column: A* = F/w for any w in F
     extents = closure(columns, meets_below)
     segment_of = dict(columns)
-
-    def cost(way):
-        E, C = way
-        return len(segment_of[E].basis) * len(columns[C].basis)
-
-    # one intersect per new extent, from the way with the fewest basis pairs;
-    # its parent holds more objects, so it already has its segment form
-    for M in sorted(extents, key=lambda M: -M.bit_count()):
-        if M not in segment_of:
-            E, C = min(ways[M], key=cost)
-            segment_of[M] = intersect(segment_of[E], columns[C])
+    segment_of.update(_forms(context, [E for E in extents if E not in columns]))
     # A lower cover C of E is the AND of the columns holding it, one of which
     # misses E (else E ⊆ C): so C = E ∧ column, a largest meet below E.
     covers = frozenset(
@@ -208,8 +199,16 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     objects = (1 << k) - 1
 
     def successors(a, E):
-        up = reduce(and_, (holds[succ[a][o]] for o in _bits(E)))
-        out = reduce(or_, (holds[o] for o in _bits(objects & ~pre(A.bar(a), E))), 0)
+        row, up, out = succ[a], -1, 0
+        outside = objects & ~pre(A.bar(a), E)
+        while E:
+            low = E & -E
+            up &= holds[row[low.bit_length() - 1]]
+            E ^= low
+        while outside:
+            low = outside & -outside
+            out |= holds[low.bit_length() - 1]
+            outside ^= low
         return up & ~out
 
     rows = {a: [successors(a, E) for E in order] for a in A.letters}
@@ -222,6 +221,84 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     if not ok:
         raise RuntimeError(f"envelope acceptor disagrees with F at {witness}")
     return env
+
+
+def _forms(context: GaloisContext, extents) -> dict:
+    """{E: the final segment {u : delta(F, u) in E}} for the given extents,
+    each read off minimal_dfa(F) with E as its accepting set.
+
+    A quotient's a-successor holds it, since w embeds in aw: so the automaton
+    has no cycle but its loops. The basis of the words taking a state q into
+    E is then {ε} when q lies in E, and otherwise the minimal words a·v over
+    the letters a with delta(q, a) != q and the v in the basis from
+    delta(q, a). A word below a·v in one step drops a (v), lowers a to some
+    b < a (b·v), or steps below v, which leaves the basis from delta(q, a):
+    so a·v is minimal iff neither v nor any b·v takes q into E. An explicit
+    stack fills the states successors-first, and each basis, a list of
+    strings with letter i written as chr(i), is kept under (q, E & reach(q)):
+    the states q reaches are all that it reads of E.
+    """
+    states, succ = context.states, context.succ
+    A = states[0].alphabet
+    delta = [
+        {chr(i): succ[a][q] for i, a in enumerate(A.letters)} for q in range(len(states))
+    ]
+    lower = {
+        chr(i): [chr(j) for j, b in enumerate(A.letters) if b != a and A.leq(b, a)]
+        for i, a in enumerate(A.letters)
+    }
+    edges = [[(c, r) for c, r in row.items() if r != q] for q, row in enumerate(delta)]
+    reach = [0] * len(states)  # zero until filled; then it holds q itself
+    stack = [0]
+    while stack:
+        q = stack[-1]
+        todo = [r for _, r in edges[q] if not reach[r]]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        reach[q] = reduce(or_, (reach[r] for _, r in edges[q]), 1 << q)
+
+    # E holds the successors of its states, so E & reach(q) = reach(q)
+    # exactly when q lies in E: one entry per state serves every such E
+    memo = {(q, m): [""] for q, m in enumerate(reach)}
+    # each word is kept once, as a string and as a Word, however many bases
+    # hold it
+    words, as_word = {}, {}
+
+    def basis(E):
+        def into(p, v):
+            for c in v:
+                p = delta[p][c]
+            return E >> p & 1
+
+        stack = [0]
+        while stack:
+            q = stack[-1]
+            key = q, E & reach[q]
+            if key in memo:
+                stack.pop()
+                continue
+            nexts = [(c, r, E & reach[r]) for c, r in edges[q]]
+            todo = [r for _, r, m in nexts if (r, m) not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            found = [
+                c + v
+                for c, r, m in nexts
+                for v in memo[r, m]
+                if not into(q, v) and not any(into(delta[q][b], v) for b in lower[c])
+            ]
+            memo[key] = [words.setdefault(w, w) for w in found]
+        found = sorted(memo[0, E & reach[0]], key=lambda s: (len(s), s))
+        for s in found:
+            if s not in as_word:
+                as_word[s] = Word(A, tuple(A.letters[ord(c)] for c in s))
+        return FinalSegment(A, tuple(as_word[s] for s in found))
+
+    return {E: basis(E) for E in extents}
 
 
 def _largest(masks) -> list:

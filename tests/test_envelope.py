@@ -1,18 +1,20 @@
 import pickle
 import random
+import sys
 from functools import reduce
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from higman.words import Word
+from higman.words import Word, minimal_words
 from higman.segments import (
     canonicalize,
     concat_seg,
     contains,
     empty_segment,
     full_segment,
+    intersect,
     involute_seg,
     segment,
     subset_of,
@@ -27,6 +29,7 @@ from higman.automata import (
 from higman.envelope import (
     EnvelopeLattice,
     PointedSpace,
+    _forms,
     algebra_distance,
     as_pointed,
     build_envelope,
@@ -34,6 +37,7 @@ from higman.envelope import (
     concat_pointed,
     decompose,
     dist,
+    galois_context,
     metric_form_pair,
     min_dfa_morphism,
     no_proper_isometric_subspace,
@@ -332,6 +336,31 @@ class TestExtents:
                 for Q in env.elements:
                     E, G = env.extent[P], env.extent[Q]
                     assert (E & G == E) == included(P, Q)
+
+
+class TestSegmentForms:
+    # each element is read off minimal_dfa(F) with its extent as the
+    # accepting set; by definition it is the meet of the residuals F/w whose
+    # columns hold its extent
+    def test_each_form_is_the_meet_of_its_columns(self):
+        large = build_envelope(segment(ab(), "aaaaa", "bbbbb"))
+        for env in regression_envelopes() + [large]:
+            A, columns = env.alphabet, env.context.columns
+            for P in env.elements:
+                E = env.extent[P]
+                held = [R for C, R in columns.items() if E & C == E]
+                assert P == reduce(intersect, held, full_segment(A)), P
+                assert minimal_words(P.basis) == P.basis, P
+
+    def test_deep_automaton_needs_no_recursion(self):
+        F = segment(ab(), "a" * 1100, "b")
+        context = galois_context(F)
+        assert len(context.states) > sys.getrecursionlimit()
+        # the accepting mask is F's column; the walk from F to it passes
+        # every state of the chain
+        mask = {R: C for C, R in context.columns.items()}
+        E, middle = mask[F], mask[segment(ab(), "a" * 550, "b")]
+        assert _forms(context, [E, middle]) == {E: F, middle: context.columns[middle]}
 
 
 class TestCovers:

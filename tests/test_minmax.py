@@ -248,6 +248,7 @@ class TestUsefulStatesOnLargeEnvelopes:
             ("ab", ("aaaa", "bbbb"), 70, (8, 32, 1)),
             ("ab", ("aaaaa", "bbbbb"), 252, (10, 40, 1)),
             ("abc", ("aaa", "bbb", "ccc"), 980, (8, 42, 1)),
+            ("ab", ("aaaaaa", "bbbbbb"), 924, (12, 48, 1)),
         ],
     )
     def test_pinned_and_checked_by_oracles(self, letters, texts, elements, pins):
