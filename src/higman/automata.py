@@ -13,24 +13,20 @@ layer's one reachability walk, shortest-word search and backtracking matcher.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 
-from .words import MEMO_SIZE, Alphabet, Word
+from .words import MEMO_SIZE, Alphabet, Frozen, Word
 from .segments import FinalSegment, canonicalize, is_full, left_residual
 
 
-@dataclass(frozen=True)
-class TransitionSystem:
+class TransitionSystem(Frozen):
     """States with labeled transitions (state, letter, state), stored as one
     successor mask per (letter, position): bit j of _successors[a][i] is the
     transition (states[i], a, states[j]). The set of triples, transitions,
-    _index and the verdict of is_reflexive_involutive are built on first read."""
-
-    alphabet: Alphabet
-    states: tuple
-    _successors: dict = field(hash=False)
+    _index and the verdict of is_reflexive_involutive are built on first read.
+    Equality compares alphabet, states and masks; the hash leaves the masks
+    out."""
 
     def __init__(self, alphabet: Alphabet, states: tuple, transitions: frozenset):
         index = {q: i for i, q in enumerate(states)}
@@ -51,6 +47,24 @@ class TransitionSystem:
         ts = cls.__new__(cls)
         vars(ts).update(alphabet=alphabet, states=states, _successors=rows)
         return ts
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alphabet, self.states, self._successors) == (
+                other.alphabet,
+                other.states,
+                other._successors,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alphabet, self.states))
+
+    def __repr__(self):
+        return (
+            f"TransitionSystem(alphabet={self.alphabet!r}, states={self.states!r}, "
+            f"_successors={self._successors!r})"
+        )
 
     @cached_property
     def transitions(self) -> frozenset:
@@ -74,31 +88,64 @@ class TransitionSystem:
         return _saturated(self) == self._successors
 
 
-@dataclass(frozen=True)
-class Automaton:
-    system: TransitionSystem
-    initial: frozenset
-    final: frozenset
-
-    def __post_init__(self):
-        index = self.system._index.keys()
-        if not self.initial <= index or not self.final <= index:
+class Automaton(Frozen):
+    def __init__(self, system: TransitionSystem, initial: frozenset, final: frozenset):
+        index = system._index.keys()
+        if not initial <= index or not final <= index:
             raise ValueError("initial/final states must be system states")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "final", final)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.system, self.initial, self.final) == (
+                other.system,
+                other.initial,
+                other.final,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.system, self.initial, self.final))
+
+    def __repr__(self):
+        return (
+            f"Automaton(system={self.system!r}, initial={self.initial!r}, "
+            f"final={self.final!r})"
+        )
 
 
-@dataclass
 class Dfa:
     """Total deterministic automaton; states are arbitrary hashable labels.
 
     minimal_dfa() instantiates it with FinalSegment states (the left
-    residuals), accepting exactly at A*.
+    residuals), accepting exactly at A*. It is mutable and unhashable;
+    equality compares every field, and the repr leaves delta out.
     """
 
-    alphabet: Alphabet
-    states: tuple
-    start: object
-    accepting: frozenset
-    delta: dict = field(repr=False)
+    def __init__(
+        self, alphabet: Alphabet, states: tuple, start, accepting: frozenset, delta: dict
+    ):
+        self.alphabet = alphabet
+        self.states = states
+        self.start = start
+        self.accepting = accepting
+        self.delta = delta
+
+    def _fields(self) -> tuple:
+        return (self.alphabet, self.states, self.start, self.accepting, self.delta)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self):
+        return (
+            f"Dfa(alphabet={self.alphabet!r}, states={self.states!r}, "
+            f"start={self.start!r}, accepting={self.accepting!r})"
+        )
 
 
 def closure(starts, step) -> list:
@@ -152,8 +199,11 @@ def _saturated(ts: TransitionSystem) -> dict:
     for a, row in closed.items():
         back = closed[A.bar(a)]
         for i, out in enumerate(row):
-            for j in _bits(out):
-                back[j] |= 1 << i
+            bit = 1 << i
+            while out:
+                low = out & -out
+                back[low.bit_length() - 1] |= bit
+                out ^= low
     return closed
 
 
@@ -220,7 +270,8 @@ def dfa_accepts(dfa: Dfa, w: Word) -> bool:
 
 
 def complement(dfa: Dfa) -> Dfa:
-    return replace(dfa, accepting=frozenset(dfa.states) - dfa.accepting)
+    accepting = frozenset(dfa.states) - dfa.accepting
+    return Dfa(dfa.alphabet, dfa.states, dfa.start, accepting, dfa.delta)
 
 
 def _shortest_word_in_product(aut: Automaton, dfa: Dfa) -> Word | None:

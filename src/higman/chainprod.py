@@ -12,40 +12,57 @@ downsets, phi is a bijection onto all up-sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .words import Word, embeds, max_embeddable_prefix, max_embeddable_suffix
+from .words import Frozen, Word, embeds, max_embeddable_prefix, max_embeddable_suffix
 from .segments import FinalSegment, canonicalize, full_segment, intersect
 from .automata import closure
 from .envelope import EnvelopeLattice, build_envelope
 from .minmax import CapExceeded
 
 
-@dataclass(frozen=True)
-class ChainProduct:
+class ChainProduct(Frozen):
     """The componentwise-ordered grid of tuples x with 0 <= x_i <= n_i - 1."""
 
-    dims: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(self.dims))
-        if not self.dims or any(
-            not isinstance(n, int) or n < 1 for n in self.dims
-        ):
+    def __init__(self, dims: tuple):
+        dims = tuple(dims)
+        if not dims or any(not isinstance(n, int) or n < 1 for n in dims):
             raise ValueError("chain product needs positive integer dimensions")
+        object.__setattr__(self, "dims", dims)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.dims == other.dims
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dims,))
+
+    def __repr__(self):
+        return f"ChainProduct(dims={self.dims!r})"
 
     @property
     def points(self) -> tuple:
         return tuple(iter_product(*[range(n) for n in self.dims]))
 
 
-@dataclass(frozen=True)
-class UpSet:
+class UpSet(Frozen):
     """Up-set of a chain product, held as its antichain of minimal tuples."""
 
-    product: ChainProduct
-    mintuples: tuple
+    def __init__(self, product: ChainProduct, mintuples: tuple):
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "mintuples", mintuples)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.product, self.mintuples) == (other.product, other.mintuples)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.product, self.mintuples))
+
+    def __repr__(self):
+        return f"UpSet(product={self.product!r}, mintuples={self.mintuples!r})"
 
 
 def _dominates(x, t) -> bool:

@@ -20,11 +20,9 @@ verification check failed, 2 malformed input, 3 a size cap exceeded.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import reduce
-from pathlib import Path
 
-from .words import Alphabet
+from .words import Alphabet, Frozen
 from .segments import (
     FinalSegment,
     canonicalize,
@@ -74,10 +72,21 @@ class SpecError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    alphabet: Alphabet
-    generators: tuple
+class ProblemSpec(Frozen):
+    def __init__(self, alphabet: Alphabet, generators: tuple):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "generators", generators)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alphabet, self.generators) == (other.alphabet, other.generators)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alphabet, self.generators))
+
+    def __repr__(self):
+        return f"ProblemSpec(alphabet={self.alphabet!r}, generators={self.generators!r})"
 
     def segment(self) -> FinalSegment:
         return canonicalize(self.alphabet, list(self.generators))
@@ -157,7 +166,8 @@ def load_spec(path: str) -> ProblemSpec:
         text = sys.stdin.read()
     else:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
         except OSError as e:
             raise SpecError("", str(e)) from None
     try:
@@ -174,7 +184,8 @@ def _emit(obj) -> None:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _write_json(path: str, payload) -> None:

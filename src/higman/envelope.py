@@ -18,13 +18,11 @@ pointed spaces and concatenation decomposition live here too.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import NamedTuple
 
-from .words import Alphabet, Word
+from .words import Alphabet, Frozen, Word
 from .segments import (
     MEMO_SIZE,
     FinalSegment,
@@ -50,7 +48,7 @@ from .automata import (
 )
 
 
-class GaloisContext(NamedTuple):
+class GaloisContext(namedtuple("GaloisContext", "states succ preds columns")):
     """The Galois context of F on the states of minimal_dfa(F), the left
     quotients u^-1 F, numbered by position. succ[a][i] is the position of
     delta(states[i], a); preds[a][j] is the mask of the i with succ[a][i] = j.
@@ -58,10 +56,7 @@ class GaloisContext(NamedTuple):
     holding w, to F/w; every quotient is reached, so inclusion of residuals
     is inclusion of columns."""
 
-    states: tuple
-    succ: dict
-    preds: dict
-    columns: dict
+    __slots__ = ()
 
     def pre(self, a: str, E: int) -> int:
         """{L : delta(L, a) in E} on masks, an OR of predecessor masks. Each L
@@ -77,8 +72,7 @@ class GaloisContext(NamedTuple):
         return flip ^ out
 
 
-@dataclass(frozen=True)
-class EnvelopeLattice:
+class EnvelopeLattice(Frozen):
     """The envelope as a lattice of final segments plus its transition system.
 
     elements are closed under pairwise intersection, hold both base points
@@ -91,17 +85,44 @@ class EnvelopeLattice:
     and context, which are left out of equality and repr; so the hash, which
     dist's cache key needs, is hash(y), kept by y itself."""
 
-    alphabet: Alphabet
-    elements: tuple
-    x: FinalSegment
-    y: FinalSegment
-    hasse: frozenset
-    extent: dict = field(compare=False, repr=False)
-    context: GaloisContext = field(compare=False, repr=False)
-    _system: TransitionSystem = field(compare=False, repr=False)
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        elements: tuple,
+        x: FinalSegment,
+        y: FinalSegment,
+        hasse: frozenset,
+        extent: dict,
+        context: GaloisContext,
+        _system: TransitionSystem,
+    ):
+        vars(self).update(
+            alphabet=alphabet,
+            elements=elements,
+            x=x,
+            y=y,
+            hasse=hasse,
+            extent=extent,
+            context=context,
+            _system=_system,
+        )
+
+    def _fields(self) -> tuple:
+        return (self.alphabet, self.elements, self.x, self.y, self.hasse)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.y)
+
+    def __repr__(self):
+        return (
+            f"EnvelopeLattice(alphabet={self.alphabet!r}, elements={self.elements!r}, "
+            f"x={self.x!r}, y={self.y!r}, hasse={self.hasse!r})"
+        )
 
     @property
     def t_f(self) -> frozenset:
@@ -379,15 +400,30 @@ def metric_form_pair(env: EnvelopeLattice, P: FinalSegment):
     return dist(env, env.x, P), dist(env, env.y, P)
 
 
-@dataclass
 class PointedSpace:
-    """A finite metric space over segments with two distinguished points."""
+    """A finite metric space over segments with two distinguished points.
+    It is mutable and unhashable; equality compares every field."""
 
-    alphabet: Alphabet
-    points: tuple
-    d: dict
-    x: object
-    y: object
+    def __init__(self, alphabet: Alphabet, points: tuple, d: dict, x, y):
+        self.alphabet = alphabet
+        self.points = points
+        self.d = d
+        self.x = x
+        self.y = y
+
+    def _fields(self) -> tuple:
+        return (self.alphabet, self.points, self.d, self.x, self.y)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self):
+        return (
+            f"PointedSpace(alphabet={self.alphabet!r}, points={self.points!r}, "
+            f"d={self.d!r}, x={self.x!r}, y={self.y!r})"
+        )
 
 
 def as_pointed(env: EnvelopeLattice) -> PointedSpace:

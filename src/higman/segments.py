@@ -9,12 +9,12 @@ algebra; envelope construction rejects it separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .words import (
     MEMO_SIZE,
     Alphabet,
+    Frozen,
     Word,
     _check_same_alphabet,
     _matched_prefix_len,
@@ -28,19 +28,24 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class FinalSegment:
+class FinalSegment(Frozen):
     """Up-closed set of words, stored as its sorted minimal-word antichain.
 
     basis () is the empty segment; basis (empty word,) is all of A*.
-    Build values through canonicalize() so equality is structural. The hash
-    is hash((alphabet, basis)), computed on first use and kept outside the
-    fields; it is left out of the pickled state, since str hashes differ
-    between processes.
+    Build values through canonicalize() so equality, which compares alphabet
+    and basis, is structural. The hash is hash((alphabet, basis)), computed
+    on first use and kept outside the fields; it is left out of the pickled
+    state, since str hashes differ between processes.
     """
 
-    alphabet: Alphabet
-    basis: tuple[Word, ...]
+    def __init__(self, alphabet: Alphabet, basis: tuple[Word, ...]):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "basis", basis)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alphabet, self.basis) == (other.alphabet, other.basis)
+        return NotImplemented
 
     def __hash__(self):
         try:
@@ -51,6 +56,9 @@ class FinalSegment:
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    def __repr__(self):
+        return f"FinalSegment(alphabet={self.alphabet!r}, basis={self.basis!r})"
 
 
 def canonicalize(alphabet: Alphabet, words) -> FinalSegment:

@@ -7,7 +7,6 @@ carrying a letter at least as large. All values here are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -83,9 +82,6 @@ class Alphabet:
     def bar(self, a: str) -> str:
         return self._bar[a]
 
-    def letter_mubs(self, a: str, b: str) -> tuple[str, ...]:
-        return self._letter_mubs[(a, b)]
-
     def word(self, text) -> "Word":
         """Parse a word from a string; multi-character letters use brackets.
 
@@ -128,17 +124,38 @@ class Alphabet:
         return f"Alphabet({'-'.join(self.letters)})"
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite sequence of letters from one alphabet."""
+class Frozen:
+    """Base of the immutable value classes: assigning or deleting any
+    attribute raises AttributeError, so constructors set their fields through
+    object.__setattr__ or vars(self)."""
 
-    alphabet: Alphabet
-    symbols: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for a in self.symbols:
-            if a not in self.alphabet.index:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(Frozen):
+    """A finite sequence of letters from one alphabet. Equal words have the
+    same alphabet and symbols, and hash as that pair."""
+
+    def __init__(self, alphabet: Alphabet, symbols: tuple[str, ...] = ()):
+        for a in symbols:
+            if a not in alphabet.index:
                 raise ValueError(f"letter {a!r} not in alphabet")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "symbols", symbols)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alphabet, self.symbols) == (other.alphabet, other.symbols)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alphabet, self.symbols))
 
     def __len__(self):
         return len(self.symbols)

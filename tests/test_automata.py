@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from functools import reduce
 from operator import or_
 
@@ -31,7 +30,7 @@ from higman.automata import (
     minimal_dfa,
     saturate,
 )
-from higman.envelope import build_envelope, min_dfa_morphism
+from higman.envelope import EnvelopeLattice, build_envelope, min_dfa_morphism
 
 from helpers import (
     ab,
@@ -462,7 +461,9 @@ class TestMinDfaMorphism:
         for (L, a), L2 in minimal_dfa(F).delta.items():
             edge = (image[L], a, image[L2])
             system = TransitionSystem(A, env.elements, env.t_f - {edge})
-            broken = replace(env, _system=system)
+            broken = EnvelopeLattice(
+                A, env.elements, env.x, env.y, env.hasse, env.extent, env.context, system
+            )
             with pytest.raises(RuntimeError, match="morphism transition missing"):
                 min_dfa_morphism(F, broken)
 

@@ -1,9 +1,11 @@
 """The package imports only itself and the standard library, as the README
-promises, and bounds every cache it keeps."""
+promises, keeps its start-up imports light, and bounds every cache it keeps."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,6 +32,24 @@ def test_stdlib_only():
                 (path.name, n) for n in names if n.split(".")[0] not in allowed
             ]
     assert not outside
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    """Every command runs in a fresh process, which pays for each module the
+    import loads; dataclasses alone pulls in inspect, ast, dis and tokenize.
+    -S keeps the site module's own imports out of the check."""
+    script = "import sys, higman.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    loaded = set(proc.stdout.split())
+    assert "higman.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "pathlib"}
 
 
 def test_every_cache_is_bounded():
