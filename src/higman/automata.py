@@ -16,7 +16,7 @@ from collections import deque
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 
-from .words import MEMO_SIZE, Alphabet, Frozen, Word
+from .words import MEMO_SIZE, Alphabet, Frozen, Value, Word
 from .segments import FinalSegment, canonicalize, is_full, left_residual
 
 
@@ -27,6 +27,8 @@ class TransitionSystem(Frozen):
     _index and the verdict of is_reflexive_involutive are built on first read.
     Equality compares alphabet, states and masks; the hash leaves the masks
     out."""
+
+    _fields = ("alphabet", "states", "_successors")
 
     def __init__(self, alphabet: Alphabet, states: tuple, transitions: frozenset):
         index = {q: i for i, q in enumerate(states)}
@@ -48,23 +50,8 @@ class TransitionSystem(Frozen):
         vars(ts).update(alphabet=alphabet, states=states, _successors=rows)
         return ts
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alphabet, self.states, self._successors) == (
-                other.alphabet,
-                other.states,
-                other._successors,
-            )
-        return NotImplemented
-
     def __hash__(self):
         return hash((self.alphabet, self.states))
-
-    def __repr__(self):
-        return (
-            f"TransitionSystem(alphabet={self.alphabet!r}, states={self.states!r}, "
-            f"_successors={self._successors!r})"
-        )
 
     @cached_property
     def transitions(self) -> frozenset:
@@ -89,6 +76,8 @@ class TransitionSystem(Frozen):
 
 
 class Automaton(Frozen):
+    _fields = ("system", "initial", "final")
+
     def __init__(self, system: TransitionSystem, initial: frozenset, final: frozenset):
         index = system._index.keys()
         if not initial <= index or not final <= index:
@@ -97,32 +86,17 @@ class Automaton(Frozen):
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "final", final)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.system, self.initial, self.final) == (
-                other.system,
-                other.initial,
-                other.final,
-            )
-        return NotImplemented
 
-    def __hash__(self):
-        return hash((self.system, self.initial, self.final))
-
-    def __repr__(self):
-        return (
-            f"Automaton(system={self.system!r}, initial={self.initial!r}, "
-            f"final={self.final!r})"
-        )
-
-
-class Dfa:
+class Dfa(Value):
     """Total deterministic automaton; states are arbitrary hashable labels.
 
     minimal_dfa() instantiates it with FinalSegment states (the left
     residuals), accepting exactly at A*. It is mutable and unhashable;
     equality compares every field, and the repr leaves delta out.
     """
+
+    _fields = ("alphabet", "states", "start", "accepting", "delta")
+    __hash__ = None
 
     def __init__(
         self, alphabet: Alphabet, states: tuple, start, accepting: frozenset, delta: dict
@@ -132,14 +106,6 @@ class Dfa:
         self.start = start
         self.accepting = accepting
         self.delta = delta
-
-    def _fields(self) -> tuple:
-        return (self.alphabet, self.states, self.start, self.accepting, self.delta)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
 
     def __repr__(self):
         return (
@@ -365,29 +331,29 @@ def find_bijection(order, candidates, agree) -> dict | None:
     Points are assigned in the given order and candidates tried in their
     listed order; every two assignments p -> q and r -> s, a point paired
     with itself included, must satisfy agree(p, q, r, s). Returns the first
-    such map, or None.
+    such map, or None. A stack of candidate iterators stands in for recursion.
     """
     mapping: dict = {}
     used = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
+    untried = []  # untried[i]: the candidates of order[i] not yet tried
+    while len(mapping) < len(order):
+        i = len(mapping)
+        if len(untried) == i:
+            untried.append(iter(candidates[order[i]]))
         p = order[i]
-        for q in candidates[p]:
+        for q in untried[i]:
             if q in used or not agree(p, q, p, q):
                 continue
-            if not all(agree(p, q, r, s) for r, s in mapping.items()):
-                continue
-            mapping[p] = q
-            used.add(q)
-            if extend(i + 1):
-                return True
-            del mapping[p]
-            used.discard(q)
-        return False
-
-    return dict(mapping) if extend(0) else None
+            if all(agree(p, q, r, s) for r, s in mapping.items()):
+                mapping[p] = q
+                used.add(q)
+                break
+        else:  # order[i] has no candidate left: undo order[i - 1]
+            untried.pop()
+            if not mapping:
+                return None
+            used.discard(mapping.popitem()[1])
+    return mapping
 
 
 def articulation_states(ts: TransitionSystem, x, y) -> list:

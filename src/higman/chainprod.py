@@ -24,22 +24,13 @@ from .minmax import CapExceeded
 class ChainProduct(Frozen):
     """The componentwise-ordered grid of tuples x with 0 <= x_i <= n_i - 1."""
 
+    _fields = ("dims",)
+
     def __init__(self, dims: tuple):
         dims = tuple(dims)
         if not dims or any(not isinstance(n, int) or n < 1 for n in dims):
             raise ValueError("chain product needs positive integer dimensions")
         object.__setattr__(self, "dims", dims)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.dims == other.dims
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.dims,))
-
-    def __repr__(self):
-        return f"ChainProduct(dims={self.dims!r})"
 
     @property
     def points(self) -> tuple:
@@ -49,20 +40,11 @@ class ChainProduct(Frozen):
 class UpSet(Frozen):
     """Up-set of a chain product, held as its antichain of minimal tuples."""
 
+    _fields = ("product", "mintuples")
+
     def __init__(self, product: ChainProduct, mintuples: tuple):
         object.__setattr__(self, "product", product)
         object.__setattr__(self, "mintuples", mintuples)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.product, self.mintuples) == (other.product, other.mintuples)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.product, self.mintuples))
-
-    def __repr__(self):
-        return f"UpSet(product={self.product!r}, mintuples={self.mintuples!r})"
 
 
 def _dominates(x, t) -> bool:

@@ -39,12 +39,11 @@ from .automata import (
     minimal_dfa,
 )
 from .envelope import (
-    PointedSpace,
     algebra_distance,
+    as_pointed,
     build_envelope,
     check_convexity,
     decompose,
-    dist,
     min_dfa_morphism,
     no_proper_isometric_subspace,
     verify_sum_theorem,
@@ -73,20 +72,11 @@ class SpecError(Exception):
 
 
 class ProblemSpec(Frozen):
+    _fields = ("alphabet", "generators")
+
     def __init__(self, alphabet: Alphabet, generators: tuple):
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "generators", generators)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alphabet, self.generators) == (other.alphabet, other.generators)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.alphabet, self.generators))
-
-    def __repr__(self):
-        return f"ProblemSpec(alphabet={self.alphabet!r}, generators={self.generators!r})"
 
     def segment(self) -> FinalSegment:
         return canonicalize(self.alphabet, list(self.generators))
@@ -270,8 +260,8 @@ def _verify_checks(F: FinalSegment):
     """Yield (name, thunk) pairs; a thunk returns a detail string or raises."""
     env = build_envelope(F)
     elements = env.elements
-    d = {(P, Q): dist(env, P, Q) for P in elements for Q in elements}
-    space = PointedSpace(env.alphabet, elements, d, env.x, env.y)
+    space = as_pointed(env)
+    d = space.d
 
     def envelope_size():
         return _count(len(elements), "element")
@@ -447,8 +437,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SpecError as e:
-        print(f"spec error at {e.pointer or 'document root'}: {e.message}",
-              file=sys.stderr)
+        print(f"spec error at {e}", file=sys.stderr)
         return 2
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)

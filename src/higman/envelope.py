@@ -22,7 +22,7 @@ from collections import defaultdict, namedtuple
 from functools import lru_cache, reduce
 from operator import and_, or_
 
-from .words import Alphabet, Frozen, Word
+from .words import Alphabet, Frozen, Value, Word
 from .segments import (
     MEMO_SIZE,
     FinalSegment,
@@ -85,6 +85,8 @@ class EnvelopeLattice(Frozen):
     and context, which are left out of equality and repr; so the hash, which
     dist's cache key needs, is hash(y), kept by y itself."""
 
+    _fields = ("alphabet", "elements", "x", "y", "hasse")
+
     def __init__(
         self,
         alphabet: Alphabet,
@@ -107,22 +109,8 @@ class EnvelopeLattice(Frozen):
             _system=_system,
         )
 
-    def _fields(self) -> tuple:
-        return (self.alphabet, self.elements, self.x, self.y, self.hasse)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
     def __hash__(self):
         return hash(self.y)
-
-    def __repr__(self):
-        return (
-            f"EnvelopeLattice(alphabet={self.alphabet!r}, elements={self.elements!r}, "
-            f"x={self.x!r}, y={self.y!r}, hasse={self.hasse!r})"
-        )
 
     @property
     def t_f(self) -> frozenset:
@@ -400,9 +388,12 @@ def metric_form_pair(env: EnvelopeLattice, P: FinalSegment):
     return dist(env, env.x, P), dist(env, env.y, P)
 
 
-class PointedSpace:
+class PointedSpace(Value):
     """A finite metric space over segments with two distinguished points.
     It is mutable and unhashable; equality compares every field."""
+
+    _fields = ("alphabet", "points", "d", "x", "y")
+    __hash__ = None
 
     def __init__(self, alphabet: Alphabet, points: tuple, d: dict, x, y):
         self.alphabet = alphabet
@@ -410,20 +401,6 @@ class PointedSpace:
         self.d = d
         self.x = x
         self.y = y
-
-    def _fields(self) -> tuple:
-        return (self.alphabet, self.points, self.d, self.x, self.y)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __repr__(self):
-        return (
-            f"PointedSpace(alphabet={self.alphabet!r}, points={self.points!r}, "
-            f"d={self.d!r}, x={self.x!r}, y={self.y!r})"
-        )
 
 
 def as_pointed(env: EnvelopeLattice) -> PointedSpace:

@@ -38,14 +38,11 @@ class FinalSegment(Frozen):
     state, since str hashes differ between processes.
     """
 
+    _fields = ("alphabet", "basis")
+
     def __init__(self, alphabet: Alphabet, basis: tuple[Word, ...]):
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "basis", basis)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alphabet, self.basis) == (other.alphabet, other.basis)
-        return NotImplemented
 
     def __hash__(self):
         try:
@@ -56,9 +53,6 @@ class FinalSegment(Frozen):
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-    def __repr__(self):
-        return f"FinalSegment(alphabet={self.alphabet!r}, basis={self.basis!r})"
 
 
 def canonicalize(alphabet: Alphabet, words) -> FinalSegment:

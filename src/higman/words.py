@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 
 # entries per memoized function; the 63,504 distances of a 252-element envelope fit
 MEMO_SIZE = 1 << 16
@@ -124,7 +125,34 @@ class Alphabet:
         return f"Alphabet({'-'.join(self.letters)})"
 
 
-class Frozen:
+class Value:
+    """Base of the value classes. _fields names, in constructor order, the
+    fields read by equality (same class, equal fields), the hash (of the
+    field tuple) and the repr (Name(field=value, ...))."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls._fields
+        get = attrgetter(*names) if len(names) > 1 else lambda v: (getattr(v, names[0]),)
+        cls._values = staticmethod(get)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Frozen(Value):
     """Base of the immutable value classes: assigning or deleting any
     attribute raises AttributeError, so constructors set their fields through
     object.__setattr__ or vars(self)."""
@@ -140,7 +168,10 @@ class Frozen:
 
 class Word(Frozen):
     """A finite sequence of letters from one alphabet. Equal words have the
-    same alphabet and symbols, and hash as that pair."""
+    same alphabet and symbols, and hash as that pair, built inline: the
+    base's getter call shows on every set and dict lookup of a word."""
+
+    _fields = ("alphabet", "symbols")
 
     def __init__(self, alphabet: Alphabet, symbols: tuple[str, ...] = ()):
         for a in symbols:

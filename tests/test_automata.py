@@ -1,4 +1,5 @@
 import random
+import sys
 from functools import reduce
 from operator import or_
 
@@ -667,3 +668,14 @@ class TestSaturatedLanguageInvariants:
                         Automaton(aut.system, frozenset({q}), frozenset({p}))
                     )
                     assert fwd == involute_seg(bwd)
+
+
+def test_isomorphic_chain_past_the_recursion_limit():
+    """find_bijection assigns one state per step of a loop, not per frame."""
+    n = sys.getrecursionlimit() + 100
+    states = tuple(range(n))
+    edges = frozenset((i, "a", i + 1) for i in states[:-1])
+    chain = TransitionSystem(ab(), states, edges)
+    aut = Automaton(chain, frozenset({0}), frozenset({n - 1}))
+    ok, witness = isomorphic(aut, aut)
+    assert ok and witness == {q: q for q in states}

@@ -309,9 +309,10 @@ class TestVerifyCommand:
     def test_wrong_distance_fails_path_language_oracle(
         self, capsys, tmp_path, monkeypatch
     ):
-        # A* on the diagonal and F elsewhere: only the path language refutes it
+        # A* on the diagonal and F elsewhere: only the path language refutes
+        # it; verify reads its table from as_pointed, which calls this dist
         monkeypatch.setattr(
-            "higman.cli.dist",
+            "higman.envelope.dist",
             lambda env, P, Q: env.x if P == Q else env.y,
         )
         code, out, _ = run(capsys, "verify", spec_file(tmp_path, FIG1))

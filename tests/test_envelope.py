@@ -693,3 +693,17 @@ class TestEnvelopeInvariants:
         for P in env.elements:
             for Q in env.elements:
                 assert dist(env, P, Q) == involute_seg(dist(env, Q, P))
+
+
+def test_pointed_isometric_past_the_recursion_limit():
+    """A 300-point space is matched under a recursion limit of 200."""
+    points = tuple(range(300))
+    d = {(p, q): abs(p - q) for p in points for q in points}
+    space = PointedSpace(ab(), points, d, 0, points[-1])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        ok, mapping = pointed_isometric(space, space)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ok and mapping == {p: p for p in points}

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from helpers import ab, ab_ordered, output_under_another_hash_seed
-from higman.words import Word
+from higman.words import Value, Word
 from higman.segments import FinalSegment, segment
 from higman.automata import Automaton, Dfa, TransitionSystem
 from higman.envelope import EnvelopeLattice, PointedSpace, build_envelope
@@ -187,3 +187,27 @@ def test_values_pickle_across_hash_seeds():
     for obj, case in zip(loaded, cases):
         assert type(obj) is case["cls"] and obj == case["cls"](**case["args"])
         _check_hash(obj, case["hash"])
+
+
+OWN_OVERRIDES = {
+    Word: {"__eq__", "__hash__", "__repr__"},
+    FinalSegment: {"__hash__"},
+    TransitionSystem: {"__hash__"},
+    Automaton: set(),
+    Dfa: {"__hash__", "__repr__"},
+    EnvelopeLattice: {"__hash__"},
+    PointedSpace: {"__hash__"},
+    ChainProduct: set(),
+    UpSet: set(),
+    ProblemSpec: set(),
+}
+
+
+def test_value_classes_share_one_protocol():
+    """Equality, the hash and the repr come from one base; a class defines
+    its own only where its contract differs from the base's."""
+    assert set(OWN_OVERRIDES) == {case["cls"] for case in value_cases()}
+    for cls, own in OWN_OVERRIDES.items():
+        assert issubclass(cls, Value)
+        defined = {"__eq__", "__hash__", "__repr__"} & set(vars(cls))
+        assert defined == own, cls.__name__
