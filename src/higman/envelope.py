@@ -26,8 +26,8 @@ from .words import Alphabet, Frozen, Value, Word
 from .segments import (
     MEMO_SIZE,
     FinalSegment,
+    _holds,
     concat_seg,
-    contains,
     full_segment,
     intersect,
     involute_seg,
@@ -35,7 +35,7 @@ from .segments import (
     is_full,
     left_residual,
     right_residual,
-    seg_key,
+    seg_keys,
 )
 from .automata import (
     Automaton,
@@ -198,7 +198,8 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
         for E, meets in below.items()
         for M in _largest(meets)
     )
-    order = sorted(segment_of, key=lambda E: seg_key(segment_of[E]))
+    key = dict(zip(segment_of, seg_keys(segment_of.values())))
+    order = sorted(segment_of, key=key.__getitem__)
     ordered = tuple(segment_of[E] for E in order)
     # Bit j of holds[o] says order[j] holds object o. Q is an a-successor of
     # P iff Q holds delta(o, a) for each o in E_P (there is one: all hold A*)
@@ -420,9 +421,12 @@ def _by_distance(dists) -> dict:
     return groups
 
 
-def _holding(groups: dict, w: Word) -> int:
-    """The mask of the positions whose distance holds w."""
-    return reduce(or_, (mask for D, mask in groups.items() if contains(D, w)), 0)
+def _holding(leq, groups: dict, symbols: tuple) -> int:
+    """The mask of the positions whose distance holds the word of the given
+    letters, under the alphabet's matching order leq."""
+    return reduce(
+        or_, (mask for D, mask in groups.items() if _holds(leq, D.basis, symbols)), 0
+    )
 
 
 def check_convexity(space) -> tuple[bool, list]:
@@ -436,10 +440,12 @@ def check_convexity(space) -> tuple[bool, list]:
     mask per (v, Q), and a split has a midpoint iff they meet. A row d(P, .)
     or a column d(., Q) repeats few distances, so each is grouped once into
     {distance: mask of points}, and a mask is the OR of the groups whose
-    distance holds the word.
+    distance holds the word. Splits are letter tuples; only witnesses are
+    made Words.
     """
     s = _pointed(space)
     A, points = s.alphabet, s.points
+    leq = A._order
     rows = {P: _by_distance(s.d[(P, Z)] for Z in points) for P in points}
     cols = {Q: _by_distance(s.d[(Z, Q)] for Z in points) for Q in points}
     starts, ends = {}, {}
@@ -447,15 +453,15 @@ def check_convexity(space) -> tuple[bool, list]:
     for P in points:
         for Q in points:
             for w in s.d[(P, Q)].basis:
-                for cut in range(len(w.symbols) + 1):
-                    u = Word(A, w.symbols[:cut])
-                    v = Word(A, w.symbols[cut:])
+                syms = w.symbols
+                for cut in range(len(syms) + 1):
+                    u, v = syms[:cut], syms[cut:]
                     if (P, u) not in starts:
-                        starts[P, u] = _holding(rows[P], u)
+                        starts[P, u] = _holding(leq, rows[P], u)
                     if (v, Q) not in ends:
-                        ends[v, Q] = _holding(cols[Q], v)
+                        ends[v, Q] = _holding(leq, cols[Q], v)
                     if not starts[P, u] & ends[v, Q]:
-                        witnesses.append((P, Q, u, v))
+                        witnesses.append((P, Q, Word(A, u), Word(A, v)))
     return not witnesses, witnesses
 
 

@@ -10,15 +10,18 @@ algebra; envelope construction rejects it separately.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
 
 from .words import (
     MEMO_SIZE,
     Alphabet,
     Frozen,
     Word,
+    _basis,
     _check_same_alphabet,
     _matched_prefix_len,
-    concat,
+    _word,
     involute,
     max_embeddable_prefix,
     max_embeddable_suffix,
@@ -32,9 +35,12 @@ class FinalSegment(Frozen):
     """Up-closed set of words, stored as its sorted minimal-word antichain.
 
     basis () is the empty segment; basis (empty word,) is all of A*.
-    Build values through canonicalize() so equality, which compares alphabet
-    and basis, is structural. The hash is hash((alphabet, basis)), computed
-    on first use and kept outside the fields; it is left out of the pickled
+    Build values through canonicalize(), which returns one shared object per
+    value while that value stays in its bounded cache (MEMO_SIZE entries):
+    the memoized operations then meet the same objects and find them by
+    identity. Sharing only makes things faster. Equality still compares
+    alphabet and basis, and the hash is hash((alphabet, basis)), computed on
+    first use and kept outside the fields; it is left out of the pickled
     state, since str hashes differ between processes.
     """
 
@@ -55,9 +61,16 @@ class FinalSegment(Frozen):
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _canonical(F: FinalSegment) -> FinalSegment:
+    """The first stored segment equal to F."""
+    return F
+
+
 def canonicalize(alphabet: Alphabet, words) -> FinalSegment:
-    """The final segment generated upward by the given words."""
-    return FinalSegment(alphabet, minimal_words(words))
+    """The final segment generated upward by the given words, as the one
+    shared object of its value."""
+    return _canonical(FinalSegment(alphabet, minimal_words(words)))
 
 
 def segment(alphabet: Alphabet, *texts) -> FinalSegment:
@@ -66,11 +79,11 @@ def segment(alphabet: Alphabet, *texts) -> FinalSegment:
 
 
 def empty_segment(alphabet: Alphabet) -> FinalSegment:
-    return FinalSegment(alphabet, ())
+    return _canonical(FinalSegment(alphabet, ()))
 
 
 def full_segment(alphabet: Alphabet) -> FinalSegment:
-    return FinalSegment(alphabet, (Word(alphabet, ()),))
+    return _canonical(FinalSegment(alphabet, (_word(alphabet, ()),)))
 
 
 def is_empty(F: FinalSegment) -> bool:
@@ -81,7 +94,7 @@ def is_full(F: FinalSegment) -> bool:
     return len(F.basis) == 1 and not F.basis[0].symbols
 
 
-def _holds(leq: frozenset, basis, symbols) -> bool:
+def _holds(leq: frozenset | None, basis, symbols) -> bool:
     """Some basis word embeds in the letter sequence symbols; the alphabet
     is the caller's to check, once per call."""
     for u in basis:
@@ -93,14 +106,14 @@ def _holds(leq: frozenset, basis, symbols) -> bool:
 
 def contains(F: FinalSegment, w: Word) -> bool:
     _check_same_alphabet(F, w)
-    return _holds(F.alphabet._leq, F.basis, w.symbols)
+    return _holds(F.alphabet._order, F.basis, w.symbols)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def subset_of(F: FinalSegment, G: FinalSegment) -> bool:
     """F ⊆ G. Up-closure makes the basis check sufficient."""
     _check_same_alphabet(F, G)
-    return all(_holds(G.alphabet._leq, G.basis, u.symbols) for u in F.basis)
+    return all(_holds(G.alphabet._order, G.basis, u.symbols) for u in F.basis)
 
 
 def product_in(F: FinalSegment, G: FinalSegment, H: FinalSegment) -> bool:
@@ -108,7 +121,7 @@ def product_in(F: FinalSegment, G: FinalSegment, H: FinalSegment) -> bool:
     _check_same_alphabet(F, G)
     _check_same_alphabet(G, H)
     return all(
-        _holds(H.alphabet._leq, H.basis, u.symbols + v.symbols)
+        _holds(H.alphabet._order, H.basis, u.symbols + v.symbols)
         for u in F.basis
         for v in G.basis
     )
@@ -137,11 +150,12 @@ def intersect(F: FinalSegment, G: FinalSegment) -> FinalSegment:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def concat_seg(F: FinalSegment, G: FinalSegment) -> FinalSegment:
-    """Monoid product: ↑u · ↑v = ↑(uv) on generators. ∅ absorbs."""
+    """Monoid product: ↑u · ↑v = ↑(uv) on generators, formed on letter
+    tuples. ∅ absorbs."""
     _check_same_alphabet(F, G)
-    return canonicalize(
-        F.alphabet, [concat(u, v) for u in F.basis for v in G.basis]
-    )
+    A = F.alphabet
+    products = {u.symbols + v.symbols for u in F.basis for v in G.basis}
+    return _canonical(FinalSegment(A, _basis(A, products)))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -171,8 +185,20 @@ def involute_seg(F: FinalSegment) -> FinalSegment:
 
 
 def seg_key(F: FinalSegment) -> tuple:
-    """Canonical total order on segments, for deterministic listings."""
-    return (len(F.basis), tuple(sort_key(u) for u in F.basis))
+    """Canonical total order on segments, for deterministic listings: basis
+    size, then the sort_key of each basis word."""
+    return seg_keys((F,))[0]
+
+
+def seg_keys(segments) -> list:
+    """[seg_key(F) for F in segments], over one alphabet, with the sort_key
+    of each distinct basis word computed once."""
+    segments = tuple(segments)
+    symbols = attrgetter("symbols")
+    words = list(chain.from_iterable(F.basis for F in segments))
+    distinct = dict(zip(map(symbols, words), words))
+    word_key = {s: sort_key(w) for s, w in distinct.items()}.__getitem__
+    return [(len(F.basis), tuple(map(word_key, map(symbols, F.basis)))) for F in segments]
 
 
 def format_segment(F: FinalSegment) -> str:

@@ -50,6 +50,9 @@ class Alphabet:
             if a != b and (b, a) in pairs:
                 raise ValueError(f"letter order is not antisymmetric: {a!r} and {b!r}")
         self._leq: frozenset[tuple[str, str]] = frozenset(pairs)
+        # _leq as the matching kernel takes it: None when the order is
+        # equality, so matching is a plain subsequence test
+        self._order = self._leq if any(a != b for a, b in pairs) else None
 
         bar = dict(involution or {})
         for a, b in list(bar.items()):
@@ -73,7 +76,7 @@ class Alphabet:
         self._letter_mubs: dict[tuple[str, str], tuple[str, ...]] = {}
         for a, b in product(self.letters, repeat=2):
             ups = [(c,) for c in self.letters if self.leq(a, c) and self.leq(b, c)]
-            self._letter_mubs[(a, b)] = tuple(c for (c,) in _minimal(self._leq, ups))
+            self._letter_mubs[(a, b)] = tuple(c for (c,) in _minimal(self._order, ups))
 
         self._hash = hash((self.letters, self._leq, tuple(sorted(bar.items()))))
 
@@ -167,13 +170,15 @@ class Frozen(Value):
 
 
 class Word(Frozen):
-    """A finite sequence of letters from one alphabet. Equal words have the
-    same alphabet and symbols, and hash as that pair, built inline: the
-    base's getter call shows on every set and dict lookup of a word."""
+    """A finite sequence of letters from one alphabet, kept as a tuple
+    whatever sequence it is given. Equal words have the same alphabet and
+    symbols, and hash as that pair, built inline: the base's getter call
+    shows on every set and dict lookup of a word."""
 
     _fields = ("alphabet", "symbols")
 
     def __init__(self, alphabet: Alphabet, symbols: tuple[str, ...] = ()):
+        symbols = tuple(symbols)
         for a in symbols:
             if a not in alphabet.index:
                 raise ValueError(f"letter {a!r} not in alphabet")
@@ -198,9 +203,18 @@ class Word(Frozen):
         return f"Word({str(self)!r})"
 
 
+def _word(alphabet: Alphabet, symbols: tuple) -> Word:
+    """A Word of a tuple of letters known to lie in the alphabet, built
+    without the constructor's letter check."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "alphabet", alphabet)
+    object.__setattr__(w, "symbols", symbols)
+    return w
+
+
 def sort_key(w: Word) -> tuple:
     """Canonical total order on words: length, then letter indices."""
-    return (len(w.symbols), tuple(w.alphabet.index[a] for a in w.symbols))
+    return (len(w.symbols), tuple(map(w.alphabet.index.__getitem__, w.symbols)))
 
 
 def _check_same_alphabet(u, v) -> None:
@@ -210,13 +224,13 @@ def _check_same_alphabet(u, v) -> None:
 
 def concat(u: Word, v: Word) -> Word:
     _check_same_alphabet(u, v)
-    return Word(u.alphabet, u.symbols + v.symbols)
+    return _word(u.alphabet, u.symbols + v.symbols)
 
 
 def involute(w: Word) -> Word:
     """Reverse the word and apply the letter involution pointwise."""
     A = w.alphabet
-    return Word(A, tuple(A.bar(a) for a in reversed(w.symbols)))
+    return _word(A, tuple(map(A._bar.__getitem__, reversed(w.symbols))))
 
 
 def embeds(u: Word, v: Word) -> bool:
@@ -227,13 +241,21 @@ def embeds(u: Word, v: Word) -> bool:
     because taking the leftmost match leaves maximal room to the right.
     """
     _check_same_alphabet(u, v)
-    return _matched_prefix_len(u.alphabet._leq, u.symbols, v.symbols) == len(u.symbols)
+    return _matched_prefix_len(u.alphabet._order, u.symbols, v.symbols) == len(u.symbols)
 
 
-def _matched_prefix_len(leq: frozenset, u, v) -> int:
-    # leq holds the pairs (a, b) with a <= b, of letters or of letter codes
+def _matched_prefix_len(leq: frozenset | None, u, v) -> int:
+    # leq holds the pairs (a, b) with a <= b, of letters or of letter codes,
+    # or is None when the order is equality: then each letter of u takes the
+    # next equal letter of v, which `in` finds on an iterator in C
     n, i = len(u), 0
-    if n:
+    if leq is None:
+        rest = iter(v)
+        for a in u:
+            if a not in rest:
+                break
+            i += 1
+    elif n:
         for b in v:
             if (u[i], b) in leq:
                 i += 1
@@ -242,11 +264,12 @@ def _matched_prefix_len(leq: frozenset, u, v) -> int:
     return i
 
 
-def _minimal(leq: frozenset, seqs) -> list:
+def _minimal(leq: frozenset | None, seqs) -> list:
     """The minimal ones of distinct letter sequences under embedding, tested
     shortest first against those kept: a shorter one, or one of the same
-    length lying letterwise below, which needs two related letters in leq."""
-    related = any(a != b for a, b in leq)
+    length lying letterwise below, which needs two related letters, so an
+    order leq that is None, equality, has none."""
+    related = leq is not None
     kept, start = [], 0  # kept[start:] have the length at hand
     for s in sorted(seqs, key=len):
         n = len(s)
@@ -268,16 +291,16 @@ def max_embeddable_prefix(u: Word, w: Word) -> tuple[Word, Word]:
     match count is exactly the longest embeddable prefix.
     """
     _check_same_alphabet(u, w)
-    k = _matched_prefix_len(u.alphabet._leq, u.symbols, w.symbols)
-    return Word(u.alphabet, u.symbols[:k]), Word(u.alphabet, u.symbols[k:])
+    k = _matched_prefix_len(u.alphabet._order, u.symbols, w.symbols)
+    return _word(u.alphabet, u.symbols[:k]), _word(u.alphabet, u.symbols[k:])
 
 
 def max_embeddable_suffix(u: Word, w: Word) -> tuple[Word, Word]:
     """Split u = u'u'' with u'' the longest suffix of u embedding in w."""
     _check_same_alphabet(u, w)
-    k = _matched_prefix_len(u.alphabet._leq, u.symbols[::-1], w.symbols[::-1])
+    k = _matched_prefix_len(u.alphabet._order, u.symbols[::-1], w.symbols[::-1])
     n = len(u.symbols)
-    return Word(u.alphabet, u.symbols[:n - k]), Word(u.alphabet, u.symbols[n - k:])
+    return _word(u.alphabet, u.symbols[:n - k]), _word(u.alphabet, u.symbols[n - k:])
 
 
 def minimal_words(words) -> tuple[Word, ...]:
@@ -285,17 +308,22 @@ def minimal_words(words) -> tuple[Word, ...]:
     words = list(words)
     for w in words:
         _check_same_alphabet(words[0], w)
-    pool = {w.symbols: w for w in words}
-    kept = _minimal(words[0].alphabet._leq, pool) if words else ()
-    return tuple(sorted((pool[s] for s in kept), key=sort_key))
+    return _basis(words[0].alphabet, {w.symbols for w in words}) if words else ()
+
+
+def _basis(A: Alphabet, seqs) -> tuple[Word, ...]:
+    """The minimal ones of a set of distinct letter tuples over A, as Words
+    in sort_key order; the letters are the caller's to check."""
+    return tuple(sorted((_word(A, s) for s in _minimal(A._order, seqs)), key=sort_key))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _letter_codes(A: Alphabet) -> tuple:
-    """Letter i written as chr(i), with the letter order and the minimal
-    upper bounds of letter pairs carried over to the codes."""
+    """Letter i written as chr(i), with the letter order (None when it is
+    equality) and the minimal upper bounds of letter pairs carried over to
+    the codes."""
     code = {a: chr(i) for i, a in enumerate(A.letters)}
-    leq = frozenset((code[a], code[b]) for a, b in A._leq)
+    leq = None if A._order is None else frozenset((code[a], code[b]) for a, b in A._leq)
     mubs = {
         (code[a], code[b]): "".join(code[c] for c in cs)
         for (a, b), cs in A._letter_mubs.items()
@@ -341,4 +369,4 @@ def min_upper_bounds(u: Word, v: Word) -> set[Word]:
     _check_same_alphabet(u, v)
     if sort_key(v) < sort_key(u):
         u, v = v, u
-    return {Word(u.alphabet, t) for t in _mub_tuples(u, v)}
+    return {_word(u.alphabet, t) for t in _mub_tuples(u, v)}

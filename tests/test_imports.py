@@ -65,6 +65,7 @@ def test_every_cache_is_bounded():
     assert {
         "higman.words._letter_codes",
         "higman.words._mub_tuples",
+        "higman.segments._canonical",
         "higman.segments.right_residual",
         "higman.segments.left_residual",
         "higman.automata.minimal_dfa",

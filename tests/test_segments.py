@@ -20,12 +20,14 @@ from higman.segments import (
     leq,
     product_in,
     right_residual,
+    seg_key,
+    seg_keys,
     segment,
     subset_of,
     union,
 )
 from higman.envelope import algebra_distance
-from higman.words import concat, embeds, involute
+from higman.words import concat, embeds, involute, sort_key
 
 from helpers import (
     ab,
@@ -34,6 +36,7 @@ from helpers import (
     abc_primed,
     nonempty_words,
     output_under_another_hash_seed,
+    regression_bases,
 )
 from oracles import concat_member, included, member, words_upto
 
@@ -373,6 +376,56 @@ def test_memoized_distance_and_involution_survive_a_cleared_cache():
     assert [algebra_distance.__wrapped__(p, q) for p, q in pairs] == [
         D for D, _ in before
     ]
+
+
+def test_equal_values_are_one_shared_object():
+    """canonicalize returns one object per value, and every operation
+    returns through it: equal results are the same object."""
+    A = ab()
+    a, b, aa, ab_ = segment(A, "a"), segment(A, "b"), segment(A, "aa"), segment(A, "ab")
+    assert segment(A, "ab", "aab", "abb") is ab_
+    assert canonicalize(A, list(ab_.basis)) is ab_
+    assert concat_seg(a, b) is ab_
+    assert concat_seg(full_segment(A), ab_) is ab_
+    assert concat_seg(a, a) is aa
+    assert intersect(a, b) is segment(A, "ab", "ba")
+    assert intersect(aa, a) is aa
+    assert left_residual(A.word("a"), aa) is a
+    assert left_residual(A.word(""), ab_) is ab_
+    assert right_residual(ab_, A.word("b")) is a
+    assert algebra_distance(ab_, ab_) is full_segment(A)
+    assert full_segment(A) is full_segment(A)
+    assert empty_segment(A) is empty_segment(A)
+    assert intersect(a, empty_segment(A)) is empty_segment(A)
+    # every result equals the shared object of its value
+    pool = nonempty_words(ab_ordered(), 3)
+    rng = random.Random(29)
+    for _ in range(150):
+        F = canonicalize(pool[0].alphabet, _random_basis(rng, pool))
+        G = canonicalize(pool[0].alphabet, _random_basis(rng, pool))
+        w = rng.choice(pool)
+        for R in (
+            concat_seg(F, G), intersect(F, G), left_residual(w, F),
+            algebra_distance(F, G), union(F, G), involute_seg(F),
+        ):
+            assert canonicalize(R.alphabet, R.basis) is R
+
+
+def test_pickled_segment_equals_and_hashes_as_the_shared_one():
+    A = ab()
+    for F in (segment(A, "ab", "ba"), full_segment(A), empty_segment(A)):
+        G = pickle.loads(pickle.dumps(F))
+        assert G == F and hash(G) == hash(F) and G in {F}
+        assert canonicalize(G.alphabet, G.basis) is F
+
+
+def test_seg_keys_are_basis_size_then_word_keys():
+    for A in (ab(), ab_ordered(), abc_primed()):
+        bases = regression_bases(A, max_gens=3, max_len=2)
+        expected = [(len(F.basis), tuple(sort_key(u) for u in F.basis)) for F in bases]
+        assert seg_keys(bases) == expected
+        assert [seg_key(F) for F in bases] == expected
+    assert seg_keys([]) == []
 
 
 def test_hash_is_the_hash_of_the_fields():

@@ -8,6 +8,9 @@ import pytest
 from higman.words import (
     Alphabet,
     Word,
+    _letter_codes,
+    _matched_prefix_len,
+    _minimal,
     concat,
     embeds,
     involute,
@@ -18,7 +21,8 @@ from higman.words import (
     sort_key,
 )
 
-from higman.segments import canonicalize
+from higman.segments import canonicalize, segment
+from higman.envelope import build_envelope
 
 from helpers import ab, ab_ordered, abc_primed
 from oracles import embeds_exhaustive, words_upto
@@ -70,6 +74,25 @@ class TestAlphabet:
     def test_word_rejects_foreign_letter(self):
         with pytest.raises(ValueError, match="not in alphabet"):
             ab().word("az")
+        with pytest.raises(ValueError, match="not in alphabet"):
+            Word(ab(), "az")
+
+
+class TestWordSymbols:
+    def test_any_sequence_of_letters_is_kept_as_a_tuple(self):
+        A = ab()
+        for given in ("aab", ["a", "a", "b"], ("a", "a", "b"), iter("aab")):
+            w = Word(A, given)
+            assert w.symbols == ("a", "a", "b")
+            assert w == A.word("aab")
+            assert hash(w) == hash(A.word("aab"))
+
+    def test_envelope_of_words_built_from_strings(self):
+        A = ab()
+        F = canonicalize(A, [Word(A, "aaa"), Word(A, "bbb")])
+        assert F == segment(A, "aaa", "bbb")
+        env = build_envelope(F)
+        assert len(env.elements) == 20 and env.y == F
 
 
 class TestConcat:
@@ -169,6 +192,52 @@ class TestEmbeds:
         for u in ws:
             for v in ws:
                 assert embeds(u, v) == embeds(involute(u), involute(v))
+
+
+class TestEqualityOnlyMatching:
+    """An order that is equality matches by a plain subsequence test: a
+    branch of the one matching kernel, taken when the alphabet's _order, or
+    the order of its letter codes, is None."""
+
+    def test_flag_is_set_once_per_alphabet_and_letter_codes(self):
+        for A in (ab(), abc_primed()):
+            assert A._order is None
+            assert _letter_codes(A)[1] is None
+        A = ab_ordered()
+        assert A._order == A._leq
+        assert _letter_codes(A)[1] == frozenset({("\0", "\0"), ("\1", "\1"), ("\0", "\1")})
+
+    @pytest.mark.parametrize("make", [ab, ab_ordered, abc_primed], ids=["ab", "a<=b", "six"])
+    def test_embeds_agrees_with_exhaustive(self, make):
+        """Every pair of words of up to 4 letters over two letters. Over six
+        letters that is 2.4 M pairs, about 15 s of exhaustive search, so it
+        is every pair of up to 3 letters and 20,000 seeded pairs of up to 4."""
+        A = make()
+        if len(A.letters) == 2:
+            ws = words_upto(A, 4)
+            pairs = list(product(ws, repeat=2))
+        else:
+            ws = words_upto(A, 3)
+            pairs = list(product(ws, repeat=2))
+            rng = random.Random(19)
+            longer = words_upto(A, 4)
+            pairs += [(rng.choice(longer), rng.choice(longer)) for _ in range(20000)]
+        for u, v in pairs:
+            assert embeds(u, v) == embeds_exhaustive(u, v), (u, v)
+
+    @pytest.mark.parametrize("make", [ab, abc_primed], ids=["ab", "six"])
+    def test_branch_agrees_with_the_general_loop(self, make):
+        """The general loop on the pairs (a, a) gives the same matched prefix
+        lengths and the same minimal sequences."""
+        A = make()
+        seqs = [w.symbols for w in words_upto(A, 3)]
+        for u in seqs:
+            for v in seqs:
+                assert _matched_prefix_len(None, u, v) == _matched_prefix_len(A._leq, u, v)
+        rng = random.Random(23)
+        for _ in range(300):
+            drawn = set(rng.sample(seqs, rng.randint(1, 12)))
+            assert sorted(_minimal(None, drawn)) == sorted(_minimal(A._leq, drawn))
 
 
 class TestSplits:
