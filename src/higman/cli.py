@@ -286,17 +286,20 @@ def _verify_checks(F: FinalSegment):
         return _count(len(elements) ** 2, "pair")
 
     def distance_triangle():
-        # the distances repeat few values, so each distinct triple is tested once
-        passed = set()
-        for P in elements:
-            for Q in elements:
-                for R in elements:
-                    triple = (d[P, Q], d[Q, R], d[P, R])
-                    if triple not in passed:
-                        assert product_in(*triple), (
-                            f"triangle fails through {format_segment(Q)}"
-                        )
-                        passed.add(triple)
+        # the distances repeat few values, so each distinct triple is tested
+        # once: per (P, Q), the pairs (d(Q, R), d(P, R)) over all R not yet
+        # tested with d(P, Q)
+        rows = [[d[P, R] for R in elements] for P in elements]
+        passed = {}
+        for row_p in rows:
+            for Q, pq, row_q in zip(elements, row_p, rows):
+                tested = passed.setdefault(pq, set())
+                new = set(zip(row_q, row_p)) - tested
+                for qr, pr in new:
+                    assert product_in(pq, qr, pr), (
+                        f"triangle fails through {format_segment(Q)}"
+                    )
+                tested |= new
         return _count(len(elements) ** 3, "triple")
 
     def distance_involution():

@@ -83,7 +83,8 @@ class EnvelopeLattice(Frozen):
     read. extent maps each element to its bitmask and context is
     galois_context(y). y determines the elements, and they the system, extent
     and context, which are left out of equality and repr; so the hash, which
-    dist's cache key needs, is hash(y), kept by y itself."""
+    dist's cache key needs, is hash(y): y's identity, since segments are
+    interned."""
 
     _fields = ("alphabet", "elements", "x", "y", "hasse")
 
@@ -246,7 +247,8 @@ def _forms(context: GaloisContext, extents) -> dict:
     so a·v is minimal iff neither v nor any b·v takes q into E. An explicit
     stack fills the states successors-first, and each basis, a list of
     strings with letter i written as chr(i), is kept under (q, E & reach(q)):
-    the states q reaches are all that it reads of E.
+    the states q reaches are all that it reads of E. Each form is built by
+    FinalSegment, so it is the live segment of its value, if there is one.
     """
     states, succ = context.states, context.succ
     A = states[0].alphabet

@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
+from weakref import WeakValueDictionary
 
 from .words import (
     MEMO_SIZE,
@@ -35,42 +36,43 @@ class FinalSegment(Frozen):
     """Up-closed set of words, stored as its sorted minimal-word antichain.
 
     basis () is the empty segment; basis (empty word,) is all of A*.
-    Build values through canonicalize(), which returns one shared object per
-    value while that value stays in its bounded cache (MEMO_SIZE entries):
-    the memoized operations then meet the same objects and find them by
-    identity. Sharing only makes things faster. Equality still compares
-    alphabet and basis, and the hash is hash((alphabet, basis)), computed on
-    first use and kept outside the fields; it is left out of the pickled
-    state, since str hashes differ between processes.
+    Segments are hash-consed: equal values are one object. Construction
+    looks the alphabet and the basis words' letters up in _interned, a
+    WeakValueDictionary, and returns the live segment of that value if there
+    is one. Every path builds through __new__, a pickle or a copy included,
+    since __reduce__ rebuilds from the fields. So equality and the hash are
+    object identity, C-level slots, and the table holds only segments the
+    program still keeps. The basis must already be canonical: canonicalize()
+    makes one from any generating words.
     """
 
     _fields = ("alphabet", "basis")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, alphabet: Alphabet, basis: tuple[Word, ...]):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "basis", basis)
+    def __new__(cls, alphabet: Alphabet, basis: tuple[Word, ...]):
+        # the letters stand for the words: tuples of str hash in C
+        key = (alphabet, tuple(map(_symbols, basis)))
+        F = _interned.get(key)
+        if F is None:
+            F = object.__new__(cls)
+            object.__setattr__(F, "alphabet", alphabet)
+            object.__setattr__(F, "basis", basis)
+            _interned[key] = F
+        return F
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash((self.alphabet, self.basis))
-            return h
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    def __reduce__(self):
+        return FinalSegment, (self.alphabet, self.basis)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _canonical(F: FinalSegment) -> FinalSegment:
-    """The first stored segment equal to F."""
-    return F
+# (alphabet, letter tuples of the basis) -> the one live segment of that value
+_interned = WeakValueDictionary()
+_symbols = attrgetter("symbols")
 
 
 def canonicalize(alphabet: Alphabet, words) -> FinalSegment:
-    """The final segment generated upward by the given words, as the one
-    shared object of its value."""
-    return _canonical(FinalSegment(alphabet, minimal_words(words)))
+    """The final segment generated upward by the given words."""
+    return FinalSegment(alphabet, minimal_words(words))
 
 
 def segment(alphabet: Alphabet, *texts) -> FinalSegment:
@@ -79,11 +81,11 @@ def segment(alphabet: Alphabet, *texts) -> FinalSegment:
 
 
 def empty_segment(alphabet: Alphabet) -> FinalSegment:
-    return _canonical(FinalSegment(alphabet, ()))
+    return FinalSegment(alphabet, ())
 
 
 def full_segment(alphabet: Alphabet) -> FinalSegment:
-    return _canonical(FinalSegment(alphabet, (_word(alphabet, ()),)))
+    return FinalSegment(alphabet, (_word(alphabet, ()),))
 
 
 def is_empty(F: FinalSegment) -> bool:
@@ -155,7 +157,7 @@ def concat_seg(F: FinalSegment, G: FinalSegment) -> FinalSegment:
     _check_same_alphabet(F, G)
     A = F.alphabet
     products = {u.symbols + v.symbols for u in F.basis for v in G.basis}
-    return _canonical(FinalSegment(A, _basis(A, products)))
+    return FinalSegment(A, _basis(A, products))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -194,11 +196,10 @@ def seg_keys(segments) -> list:
     """[seg_key(F) for F in segments], over one alphabet, with the sort_key
     of each distinct basis word computed once."""
     segments = tuple(segments)
-    symbols = attrgetter("symbols")
     words = list(chain.from_iterable(F.basis for F in segments))
-    distinct = dict(zip(map(symbols, words), words))
+    distinct = dict(zip(map(_symbols, words), words))
     word_key = {s: sort_key(w) for s, w in distinct.items()}.__getitem__
-    return [(len(F.basis), tuple(map(word_key, map(symbols, F.basis)))) for F in segments]
+    return [(len(F.basis), tuple(map(word_key, map(_symbols, F.basis)))) for F in segments]
 
 
 def format_segment(F: FinalSegment) -> str:

@@ -1,13 +1,16 @@
 """Shared alphabets, the regression family, an independent transition rule,
-and a child process under another hash seed."""
+the package's caches, and a child process under another hash seed."""
 
+import importlib
 import os
+import pkgutil
 import random
 import subprocess
 import sys
 from itertools import combinations, product
 from pathlib import Path
 
+import higman
 from higman.words import Alphabet, Word, concat, embeds, sort_key
 from higman.segments import FinalSegment, canonicalize, contains
 from higman.automata import Automaton, TransitionSystem
@@ -102,6 +105,25 @@ def induced(env, subset: frozenset) -> Automaton:
     )
     system = TransitionSystem(env.alphabet, states, trans)
     return Automaton(system, frozenset({env.x}), frozenset({env.y}))
+
+
+def package_caches() -> dict:
+    """Qualified name -> every module-level lru_cache of the package, found
+    by its cache_clear method, as the benchmark finds them."""
+    caches = {}
+    for info in pkgutil.iter_modules(higman.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the command line
+        mod = importlib.import_module(f"higman.{info.name}")
+        for value in vars(mod).values():
+            if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info"):
+                caches[f"{value.__module__}.{value.__qualname__}"] = value
+    return caches
+
+
+def clear_caches() -> None:
+    for cache in package_caches().values():
+        cache.cache_clear()
 
 
 def output_under_another_hash_seed(script: str) -> bytes:

@@ -2,15 +2,16 @@
 promises, keeps its start-up imports light, and bounds every cache it keeps."""
 
 import ast
-import importlib
 import os
-import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from weakref import WeakValueDictionary
 
-import higman
+from higman import segments
 from higman.segments import MEMO_SIZE
+
+from helpers import package_caches
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "higman"
 
@@ -53,19 +54,10 @@ def test_cli_import_leaves_out_heavy_modules():
 
 
 def test_every_cache_is_bounded():
-    # found by their cache_clear method, as the benchmark finds them
-    caches = {}
-    for info in pkgutil.iter_modules(higman.__path__):
-        if info.name == "__main__":
-            continue  # importing it runs the command line
-        mod = importlib.import_module(f"higman.{info.name}")
-        for value in vars(mod).values():
-            if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info"):
-                caches[f"{value.__module__}.{value.__qualname__}"] = value
+    caches = package_caches()
     assert {
         "higman.words._letter_codes",
         "higman.words._mub_tuples",
-        "higman.segments._canonical",
         "higman.segments.right_residual",
         "higman.segments.left_residual",
         "higman.automata.minimal_dfa",
@@ -78,3 +70,5 @@ def test_every_cache_is_bounded():
         if c.cache_parameters()["maxsize"] != MEMO_SIZE
     }
     assert not unbounded
+    # the table of live segments holds them weakly, so it keeps none alive
+    assert isinstance(segments._interned, WeakValueDictionary)

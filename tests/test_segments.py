@@ -1,11 +1,15 @@
 """Canonical bases and the segment algebra, pinned values and laws."""
 
+import copy
+import gc
 import pickle
 import random
 
 import pytest
 
+from higman import segments
 from higman.segments import (
+    FinalSegment,
     canonicalize,
     concat_seg,
     contains,
@@ -26,17 +30,19 @@ from higman.segments import (
     subset_of,
     union,
 )
-from higman.envelope import algebra_distance
-from higman.words import concat, embeds, involute, sort_key
+from higman.envelope import _forms, algebra_distance
+from higman.words import Word, concat, embeds, involute, sort_key
 
 from helpers import (
     ab,
     ab_ordered,
     abc,
     abc_primed,
+    clear_caches,
     nonempty_words,
     output_under_another_hash_seed,
     regression_bases,
+    regression_envelopes,
 )
 from oracles import concat_member, included, member, words_upto
 
@@ -419,6 +425,51 @@ def test_pickled_segment_equals_and_hashes_as_the_shared_one():
         assert canonicalize(G.alphabet, G.basis) is F
 
 
+def test_every_construction_path_gives_the_one_object_of_its_value():
+    """Equal segments are one object however they were made: by a
+    constructor, by an operation of the algebra or by a copy."""
+    for A in (ab(), ab_ordered(), abc_primed()):
+        bases = regression_bases(A, max_gens=2, max_len=2)
+        for F in bases:
+            assert canonicalize(A, list(F.basis)) is F
+            assert FinalSegment(A, F.basis) is F
+            fresh = tuple(Word(A, u.symbols) for u in F.basis)
+            assert FinalSegment(alphabet=A, basis=fresh) is F
+            assert copy.copy(F) is F
+            assert copy.deepcopy(F) is F
+        assert segment(A) is empty_segment(A) is FinalSegment(A, ())
+        assert segment(A, "") is full_segment(A) is canonicalize(A, [A.word("")])
+        w = A.word(A.letters[0])
+        for F, G in zip(bases, bases[1:]):
+            for R in (
+                intersect(F, G), concat_seg(F, G), right_residual(F, w),
+                left_residual(w, F), involute_seg(F), algebra_distance(F, G),
+            ):
+                assert canonicalize(A, list(R.basis)) is R
+
+
+def test_forms_of_the_regression_envelopes_are_the_shared_objects():
+    """Every element _forms reads off a minimal DFA is the object
+    canonicalize gives for its basis."""
+    for env in regression_envelopes():
+        forms = _forms(env.context, env.extent.values())
+        assert len(forms) == len(env.elements)
+        for P in forms.values():
+            assert canonicalize(P.alphabet, list(P.basis)) is P
+        assert [forms[env.extent[P]] for P in env.elements] == list(env.elements)
+
+
+def test_the_table_keeps_no_dropped_segment_alive():
+    A = abc_primed()
+    F = segment(A, "[a'][b']c[c']ab[b']", "[c']ba[c'][b']a")
+    [key] = [k for k, G in segments._interned.items() if G is F]
+    assert involute_seg(F) is not F  # a cache entry now holds F
+    del F
+    clear_caches()
+    gc.collect()
+    assert key not in segments._interned
+
+
 def test_seg_keys_are_basis_size_then_word_keys():
     for A in (ab(), ab_ordered(), abc_primed()):
         bases = regression_bases(A, max_gens=3, max_len=2)
@@ -428,11 +479,16 @@ def test_seg_keys_are_basis_size_then_word_keys():
     assert seg_keys([]) == []
 
 
-def test_hash_is_the_hash_of_the_fields():
-    A = ab()
-    for F in (segment(A, "ab", "ba"), full_segment(A), empty_segment(A)):
-        first = hash(F)
-        assert first == hash(F) == hash((F.alphabet, F.basis))
+def test_equal_builds_are_one_object_with_a_stable_hash():
+    for A in (ab(), ab_ordered()):
+        for F, again in (
+            (segment(A, "ab", "ba"), lambda: segment(A, "ba", "ab", "aba")),
+            (full_segment(A), lambda: canonicalize(A, [A.word(""), A.word("a")])),
+            (empty_segment(A), lambda: FinalSegment(A, ())),
+        ):
+            first = hash(F)
+            assert again() is F
+            assert hash(again()) == first == hash(F)
 
 
 # pickles a segment whose hash is already computed and kept
@@ -453,7 +509,7 @@ def test_pickled_segment_is_found_under_another_hash_seed():
     F = pickle.loads(blob)
     A = ab()
     assert F in {segment(A, "a"), segment(A, "ab", "ba"), full_segment(A)}
-    assert hash(F) == hash((F.alphabet, F.basis))
+    assert F is segment(A, "ab", "ba")
 
 
 def test_residual_antitone_in_word():

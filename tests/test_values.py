@@ -18,7 +18,8 @@ from higman.cli import ProblemSpec
 def value_cases() -> list[dict]:
     """One case per class: its constructor arguments by name, other values
     that equality must see (differ) or ignore (same), the expected hash
-    (None: unhashable), repr and whether it is frozen."""
+    (None: unhashable), repr, whether it is frozen and, for an interned
+    class, the live object that every equal value is."""
     A = ab()
     ts_args = dict(
         alphabet=A, states=(0, 1), transitions=frozenset({(0, "a", 1), (1, "b", 0)})
@@ -45,9 +46,10 @@ def value_cases() -> list[dict]:
             cls=FinalSegment,
             args=dict(alphabet=A, basis=F.basis),
             differ=dict(alphabet=ab_ordered(), basis=F.basis[:1]),
-            hash=hash((A, F.basis)),
+            hash=hash(F),
             repr="FinalSegment(alphabet=Alphabet(a-b), basis=(Word('ab'), Word('ba')))",
             frozen=True,
+            interned=F,
         ),
         dict(
             cls=TransitionSystem,
@@ -147,8 +149,15 @@ def test_value_class_contract(case):
     cls, args = case["cls"], case["args"]
     obj = cls(**args)
     assert obj == cls(*args.values())
+    interned = "interned" in case
+    if interned:
+        assert cls(**args) is cls(**args) is obj is case["interned"]
     for name, value in args.items():
-        if name != "transitions":  # TransitionSystem keeps masks instead
+        if name == "transitions":  # TransitionSystem keeps masks instead
+            continue
+        if interned:  # an equal value built earlier keeps its own fields
+            assert getattr(obj, name) == value
+        else:
             assert getattr(obj, name) is value
     for name, value in case["differ"].items():
         assert obj != cls(**{**args, name: value}), name
@@ -167,7 +176,8 @@ def test_value_class_contract(case):
         ):
             with pytest.raises(AttributeError):
                 attempt()
-        assert getattr(obj, first) is args[first]
+        assert getattr(obj, first) == args[first]
+        assert interned or getattr(obj, first) is args[first]
     else:
         other = cls(**args)
         setattr(other, first, None)
@@ -175,23 +185,27 @@ def test_value_class_contract(case):
 
     again = pickle.loads(pickle.dumps(obj))
     assert type(again) is cls and again == obj
+    assert not interned or again is obj
     _check_hash(again, case["hash"])
 
 
 def test_values_pickle_across_hash_seeds():
     """A value pickled where str hashes differ loads equal, with this
-    process's hash."""
+    process's hash; an interned one loads as the local object."""
     loaded = pickle.loads(output_under_another_hash_seed(PICKLE_VALUES))
     cases = value_cases()
     assert len(loaded) == len(cases)
     for obj, case in zip(loaded, cases):
-        assert type(obj) is case["cls"] and obj == case["cls"](**case["args"])
+        local = case["cls"](**case["args"])
+        assert type(obj) is case["cls"] and obj == local
+        if "interned" in case:
+            assert obj is local is case["interned"]
         _check_hash(obj, case["hash"])
 
 
 OWN_OVERRIDES = {
     Word: {"__eq__", "__hash__", "__repr__"},
-    FinalSegment: {"__hash__"},
+    FinalSegment: {"__eq__", "__hash__"},
     TransitionSystem: {"__hash__"},
     Automaton: set(),
     Dfa: {"__hash__", "__repr__"},
