@@ -191,13 +191,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _step(ts: TransitionSystem, mask: int, a: str) -> int:
-    """The mask of the states one a-transition away from the states in mask."""
-    row = ts._successors[a]
+def _image(rows, mask: int) -> int:
+    """The OR of rows[i] over the bits i of mask: through a system's
+    successor masks for one letter, the states one step from those in mask."""
     out = 0
     while mask:
         low = mask & -mask
-        out |= row[low.bit_length() - 1]
+        out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
 
@@ -209,7 +209,7 @@ def accepts(aut: Automaton, w: Word) -> bool:
         raise ValueError("word alphabet differs from automaton alphabet")
     current = ts._mask(aut.initial)
     for a in w.symbols:
-        current = _step(ts, current, a)
+        current = _image(ts._successors[a], current)
     return bool(current & ts._mask(aut.final))
 
 
@@ -247,7 +247,7 @@ def _shortest_word_in_product(aut: Automaton, dfa: Dfa) -> Word | None:
     final = ts._mask(aut.final)
 
     def step(config, a):
-        nfa_states = _step(ts, config[0], a)
+        nfa_states = _image(ts._successors[a], config[0])
         return (nfa_states, dfa.delta[(config[1], a)]) if nfa_states else None
 
     def good(config):

@@ -98,48 +98,47 @@ def intersect_upsets(Y: UpSet, Z: UpSet) -> UpSet:
     )
 
 
-def _up_masks(points) -> list[int]:
-    index = {p: i for i, p in enumerate(points)}
-    return [
-        sum(1 << index[q] for q in points if _dominates(q, p)) for p in points
-    ]
-
-
-def _valid_masks(product: ChainProduct):
+def _upset_masks(product: ChainProduct) -> tuple[tuple, list[int]]:
+    """The points of the product and every up-set as a mask over them, in
+    increasing order. An up-set grows by any point whose strict up-set it
+    already holds, and every up-set is reached so from the empty one, its
+    points added largest first: so the up-sets are the closure of the empty
+    mask under that step."""
     if math.prod(product.dims) > 20:
         raise CapExceeded("chain product too large to enumerate")
     points = product.points
-    n = len(points)
-    masks = _up_masks(points)
-    for mask in range(1 << n):
-        rest = mask
-        ok = True
-        while rest:
-            bit = (rest & -rest).bit_length() - 1
-            if masks[bit] & ~mask:
-                ok = False
-                break
-            rest &= rest - 1
-        if ok:
-            yield mask, points
+    above = [
+        sum(1 << j for j, q in enumerate(points) if q != p and _dominates(q, p))
+        for p in points
+    ]
+
+    def grow(mask):
+        return [
+            mask | 1 << i
+            for i, up in enumerate(above)
+            if not mask >> i & 1 and not up & ~mask
+        ]
+
+    return points, sorted(closure([0], grow))
 
 
 def count_upsets(dims) -> int:
-    """Number of up-sets of the chain product, by exhaustive enumeration.
+    """Number of up-sets of the chain product, enumerated by _upset_masks.
 
     For two chains this equals the lattice-path count binomial(n0 + n1, n0):
     an up-set of n0 x n1 is a monotone staircase.
     """
-    return sum(1 for _ in _valid_masks(ChainProduct(tuple(dims))))
+    return len(_upset_masks(ChainProduct(tuple(dims)))[1])
 
 
 def all_upsets(product: ChainProduct) -> list[UpSet]:
-    """Every up-set, in increasing bitmask order of membership."""
-    out = []
-    for mask, points in _valid_masks(product):
-        members = [p for i, p in enumerate(points) if mask >> i & 1]
-        out.append(up_set(product, members))
-    return out
+    """Every up-set, in increasing bitmask order of membership over
+    product.points."""
+    points, masks = _upset_masks(product)
+    return [
+        up_set(product, [p for i, p in enumerate(points) if mask >> i & 1])
+        for mask in masks
+    ]
 
 
 def coding_maps(u: Word, v: Word) -> tuple[int, int]:

@@ -277,10 +277,11 @@ def _verify_checks(F: FinalSegment):
         for P in elements:
             for Q in elements:
                 pair = f"d({format_segment(P)}, {format_segment(Q)})"
-                paths = accepted_basis(Automaton(ts, frozenset({P}), frozenset({Q})))
-                assert paths == d[P, Q], (
+                paths = Automaton(ts, frozenset({P}), frozenset({Q}))
+                ok, word = language_equals_segment(paths, d[P, Q])
+                assert ok, (
                     f"{pair} = {format_segment(d[P, Q])} but the path language is "
-                    f"{format_segment(paths)}"
+                    f"{format_segment(accepted_basis(paths))}; {word} separates them"
                 )
                 assert is_full(d[P, Q]) == (P == Q), f"{pair} fails identity"
         return _count(len(elements) ** 2, "pair")

@@ -11,9 +11,10 @@ with E as its accepting set; its basis is read off that automaton. The
 transition system over single letters is an acceptor of F. The distance
 between two elements is algebraic: d(P, Q) holds the words w with P.up(w)
 inside Q and Q.up(bar w) inside P. It equals the language of paths P -> Q in
-the transition system, which `higman verify` and the tests check against
-accepted_basis. The morphism from minimal_dfa(F) into the envelope, sums of
-pointed spaces and concatenation decomposition live here too.
+the transition system, which `higman verify` checks with
+language_equals_segment and the tests with accepted_basis. The morphism from
+minimal_dfa(F) into the envelope, sums of pointed spaces and concatenation
+decomposition live here too.
 """
 
 from __future__ import annotations
@@ -34,16 +35,15 @@ from .segments import (
     is_empty,
     is_full,
     left_residual,
-    right_residual,
     seg_keys,
 )
 from .automata import (
     Automaton,
     TransitionSystem,
+    _image,
     articulation_states,
     closure,
     find_bijection,
-    language_equals_segment,
     minimal_dfa,
 )
 
@@ -52,9 +52,11 @@ class GaloisContext(namedtuple("GaloisContext", "states succ preds columns")):
     """The Galois context of F on the states of minimal_dfa(F), the left
     quotients u^-1 F, numbered by position. succ[a][i] is the position of
     delta(states[i], a); preds[a][j] is the mask of the i with succ[a][i] = j.
-    columns maps the column of each residual F/w, the mask of the quotients
-    holding w, to F/w; every quotient is reached, so inclusion of residuals
-    is inclusion of columns."""
+    columns holds the column of each right residual F/w, the mask of the
+    quotients holding w, in breadth-first order from the accepting mask, the
+    column of F = F/ε. Every quotient is reached, so distinct residuals have
+    distinct columns and inclusion of residuals is inclusion of columns;
+    _forms reads a column's residual back as the segment of its mask."""
 
     __slots__ = ()
 
@@ -64,12 +66,7 @@ class GaloisContext(namedtuple("GaloisContext", "states succ preds columns")):
         pre_a: an E holding over half the states is read through its own."""
         k = len(self.states)
         flip = (1 << k) - 1 if 2 * E.bit_count() > k else 0
-        row, E, out = self.preds[a], E ^ flip, 0
-        while E:
-            low = E & -E
-            out |= row[low.bit_length() - 1]
-            E ^= low
-        return flip ^ out
+        return flip ^ _image(self.preds[a], E ^ flip)
 
 
 class EnvelopeLattice(Frozen):
@@ -125,9 +122,10 @@ class EnvelopeLattice(Frozen):
 
 
 def galois_context(F: FinalSegment) -> GaloisContext:
-    """The Galois context of F, from one breadth-first walk of its right
-    residuals by single letters from F = F/ε: a step takes F/w to
-    F/(aw) = (F/w)/a and its column to pre_a of that column at once."""
+    """The Galois context of F on the states of minimal_dfa(F). Its columns
+    are the closure of the accepting mask under pre, breadth-first by single
+    letters: the column of F/(aw) = (F/w)/a is pre_a of the column of F/w,
+    since a quotient holds aw exactly when its a-successor holds w."""
     A = F.alphabet
     dfa = minimal_dfa(F)
     index = {L: i for i, L in enumerate(dfa.states)}
@@ -135,28 +133,23 @@ def galois_context(F: FinalSegment) -> GaloisContext:
     preds = {a: [0] * len(index) for a in A.letters}
     for (L, a), L2 in dfa.delta.items():
         preds[a][index[L2]] |= 1 << index[L]
-    context = GaloisContext(dfa.states, succ, preds, {})
-    letters = [(a, Word(A, (a,))) for a in A.letters]
-
-    def step(column):
-        R, E = column
-        return [(right_residual(R, w), context.pre(a, E)) for a, w in letters]
-
+    context = GaloisContext(dfa.states, succ, preds, ())
     accepting = sum(1 << index[L] for L in dfa.accepting)
-    columns = {E: R for R, E in closure([(F, accepting)], step)}
-    return context._replace(columns=columns)
+    columns = closure([accepting], lambda E: [context.pre(a, E) for a in A.letters])
+    return context._replace(columns=tuple(columns))
 
 
 def residual_closure(F: FinalSegment) -> set[FinalSegment]:
     """Least set containing F closed under right residuals by single letters:
-    the residuals of the columns of galois_context(F).
+    the columns of galois_context(F), each read back as its residual by _forms.
 
     Iterating single letters reaches every right residual of F, and the
     residuals of a final segment form a finite set.
     """
     if is_empty(F):
         raise ValueError("the empty segment has no residual closure")
-    return set(galois_context(F).columns.values())
+    context = galois_context(F)
+    return set(_forms(context, context.columns).values())
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -164,15 +157,15 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     """The envelope of F, built on the bitmasks of galois_context(F).
 
     The extents are the columns closed under "AND with a column"; all ones is
-    x = A* and the accepting mask is y = F. A column's segment form, which
-    display, export and dist read, is its residual; any other extent E gets
-    the language of minimal_dfa(F) with E as its accepting set, read off the
-    automaton by _forms with no meet of segments. The lower covers of an
-    extent are the largest of its meets with the columns not above it.
-    (P, a, Q) is a transition iff E_P lies inside pre_a(E_Q) and E_Q inside
-    pre_{bar a}(E_P), so each successor mask is an AND and an OR of the masks
-    of the elements holding each object. The automaton from x = A* to y = F
-    accepts exactly F; this is re-checked on every construction.
+    x = A* and the accepting mask is y = F. Each extent E, a column included,
+    gets its segment form, which display, export and dist read, from _forms:
+    the language of minimal_dfa(F) with E as its accepting set, with no meet
+    of segments. The lower covers of an extent are the largest of its meets
+    with the columns not above it. (P, a, Q) is a transition iff E_P lies
+    inside pre_a(E_Q) and E_Q inside pre_{bar a}(E_P), so each successor mask
+    is an AND and an OR of the masks of the elements holding each object.
+    The automaton from x = A* to y = F accepts exactly F; `higman verify`
+    and the tests check that with language_equals_segment.
     """
     if is_empty(F):
         raise ValueError("the empty segment has no envelope")
@@ -190,8 +183,7 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
 
     # all ones is a column: A* = F/w for any w in F
     extents = closure(columns, meets_below)
-    segment_of = dict(columns)
-    segment_of.update(_forms(context, [E for E in extents if E not in columns]))
+    segment_of = _forms(context, extents)
     # A lower cover C of E is the AND of the columns holding it, one of which
     # misses E (else E ⊆ C): so C = E ∧ column, a largest meet below E.
     covers = frozenset(
@@ -210,33 +202,28 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     objects = (1 << k) - 1
 
     def successors(a, E):
-        row, up, out = succ[a], -1, 0
-        outside = objects & ~pre(A.bar(a), E)
+        row, up = succ[a], -1
+        out = _image(holds, objects & ~pre(A.bar(a), E))
         while E:
             low = E & -E
             up &= holds[row[low.bit_length() - 1]]
             E ^= low
-        while outside:
-            low = outside & -outside
-            out |= holds[low.bit_length() - 1]
-            outside ^= low
         return up & ~out
 
     rows = {a: [successors(a, E) for E in order] for a in A.letters}
     system = TransitionSystem._from_rows(A, ordered, rows)
     extent = dict(zip(ordered, order))
-    env = EnvelopeLattice(
+    return EnvelopeLattice(
         A, ordered, full_segment(A), F, covers, extent, context, system
     )
-    ok, witness = language_equals_segment(env.automaton(), F)
-    if not ok:
-        raise RuntimeError(f"envelope acceptor disagrees with F at {witness}")
-    return env
 
 
 def _forms(context: GaloisContext, extents) -> dict:
-    """{E: the final segment {u : delta(F, u) in E}} for the given extents,
-    each read off minimal_dfa(F) with E as its accepting set.
+    """{E: the final segment {u : delta(F, u) in E}} for the given masks, in
+    their order, each read off minimal_dfa(F) with E as its accepting set.
+    This is the package's one reader from a mask to its segment: an extent
+    gets its element, and a column C gets its residual F/w, since u lies in
+    F/w exactly when delta(F, u) holds w, that is, lies in C.
 
     A quotient's a-successor holds it, since w embeds in aw: so the automaton
     has no cycle but its loops. The basis of the words taking a state q into
@@ -301,10 +288,11 @@ def _forms(context: GaloisContext, extents) -> dict:
                 c + v
                 for c, r, m in nexts
                 for v in memo[r, m]
-                if not into(q, v) and not any(into(delta[q][b], v) for b in lower[c])
+                if not into(q, v)
+                and not (lower[c] and any(into(delta[q][b], v) for b in lower[c]))
             ]
             memo[key] = [words.setdefault(w, w) for w in found]
-        found = sorted(memo[0, E & reach[0]], key=lambda s: (len(s), s))
+        found = sorted(sorted(memo[0, E & reach[0]]), key=len)
         for s in found:
             if s not in as_word:
                 as_word[s] = Word(A, tuple(A.letters[ord(c)] for c in s))
@@ -362,7 +350,8 @@ def dist(env: EnvelopeLattice, P: FinalSegment, Q: FinalSegment) -> FinalSegment
     """Distance between two envelope elements: algebra_distance(P, Q).
 
     It equals the language of paths P -> Q in the envelope's transition
-    system; `higman verify` and the tests check this with accepted_basis.
+    system; `higman verify` checks this with language_equals_segment and the
+    tests with accepted_basis.
     """
     if P not in env.extent or Q not in env.extent:
         raise ValueError("dist arguments must be envelope elements")

@@ -14,37 +14,39 @@ from itertools import product
 
 from .words import Alphabet, Word, concat
 from .segments import FinalSegment, is_empty
-from .automata import Automaton, Dfa, _bits, _step, closure, shortest_word
-from .envelope import EnvelopeLattice, build_envelope, galois_context
+from .automata import Automaton, Dfa, _bits, _image, closure, shortest_word
+from .envelope import EnvelopeLattice, _forms, build_envelope, galois_context
 
 
 def is_ferrers_segment(F: FinalSegment) -> tuple[bool, tuple | None]:
     """Whether the right residuals of F form a chain under inclusion.
 
-    Reads the columns of galois_context(F), whose bit inclusion is residual
-    inclusion, in their breadth-first order by single letters; the witness
-    pairs the first residual found incomparable with an earlier one. The
-    envelope itself is not built.
+    Compares the column masks of galois_context(F), whose bit inclusion is
+    residual inclusion, in their breadth-first order by single letters. The
+    witness pairs the first residual found incomparable with an earlier one,
+    the two read back from their columns by _forms. The envelope itself is
+    not built.
     """
     if is_empty(F):
         return True, None
-    residuals = galois_context(F).columns
-    masks = list(residuals)
-    for i, H in enumerate(masks):
-        for S in masks[:i]:
+    context = galois_context(F)
+    columns = context.columns
+    for i, H in enumerate(columns):
+        for S in columns[:i]:
             if H & S not in (H, S):
-                return False, (residuals[H], residuals[S])
+                residual = _forms(context, (H, S))
+                return False, (residual[H], residual[S])
     return True, None
 
 
 def _determinize(aut: Automaton) -> Dfa:
     """Subset construction on masks, labelling each DFA state by its states."""
     ts = aut.system
-    A = ts.alphabet
+    A, rows = ts.alphabet, ts._successors
     start, final = ts._mask(aut.initial), ts._mask(aut.final)
-    masks = closure([start], lambda S: [_step(ts, S, a) for a in A.letters])
+    masks = closure([start], lambda S: [_image(rows[a], S) for a in A.letters])
     label = {S: frozenset(ts.states[i] for i in _bits(S)) for S in masks}
-    delta = {(label[S], a): label[_step(ts, S, a)] for S in masks for a in A.letters}
+    delta = {(label[S], a): label[_image(rows[a], S)] for S in masks for a in A.letters}
     accepting = frozenset(label[S] for S in masks if S & final)
     return Dfa(A, tuple(label.values()), label[start], accepting, delta)
 

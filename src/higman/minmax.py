@@ -24,7 +24,7 @@ from .automata import (
     Automaton,
     TransitionSystem,
     _bits,
-    _step,
+    _image,
     accepts,
     isomorphic,
     language_equals_segment,
@@ -36,7 +36,7 @@ from .minmax_pair import automaton_one, automaton_two, language
 
 class CapExceeded(ValueError):
     """The input is too large for an exhaustive enumeration: the subset
-    search here or the up-set scan of a chain product."""
+    search here or the up-set enumeration of a chain product."""
 
 
 def _induced(env: EnvelopeLattice, S: int) -> Automaton:
@@ -56,14 +56,14 @@ def _useful(ts: TransitionSystem, basis, x: int, y: int) -> int:
     for each u and k, the states reached from x by u[:k] that reach y by
     u[k:]. The system is involutive, so the a-predecessors of a mask are its
     a-bar-successors."""
-    bar, useful = ts.alphabet.bar, x | y
+    bar, succ, useful = ts.alphabet.bar, ts._successors, x | y
     for u in basis:
         ahead = [x]
         for a in u.symbols:
-            ahead.append(_step(ts, ahead[-1], a))
+            ahead.append(_image(succ[a], ahead[-1]))
         behind = y
         for k in reversed(range(len(u.symbols))):
-            behind = _step(ts, behind, bar(u.symbols[k]))
+            behind = _image(succ[bar(u.symbols[k])], behind)
             useful |= ahead[k] & behind
     return useful
 
@@ -75,14 +75,14 @@ def search_minmax(F: FinalSegment, cap: int = 20):
 
     Bit i of a candidate S stands for env.elements[i], position i of the
     envelope's transition system ts. So the induced subautomaton on S moves
-    a state mask cur to _step(ts, cur, a) & S. A basis word is run from x's
-    bit and accepted when the last mask holds y's bit; the transitions
-    induced on S number the popcounts of ts._successors[a][i] & S over i in
-    S. Candidates hold x, y and other positions of the mask U of useful
-    elements (see the module docstring), taken in `combinations` order, the
-    order of the subsets of all positions with the rest left out; only those
-    with the most transitions become automata, from the same masks. cap
-    bounds the number of envelope elements, not of useful ones.
+    a state mask cur to _image(ts._successors[a], cur) & S. A basis word is
+    run from x's bit and accepted when the last mask holds y's bit; the
+    transitions induced on S number the popcounts of ts._successors[a][i] & S
+    over i in S. Candidates hold x, y and other positions of the mask U of
+    useful elements (see the module docstring), taken in `combinations`
+    order, the order of the subsets of all positions with the rest left out;
+    only those with the most transitions become automata, from the same
+    masks. cap bounds the number of envelope elements, not of useful ones.
     """
     if is_empty(F):
         raise ValueError("no automaton accepts the empty segment")
@@ -91,14 +91,15 @@ def search_minmax(F: FinalSegment, cap: int = 20):
     if n > cap:
         raise CapExceeded(f"envelope has {n} elements, cap is {cap}")
     ts = env.transition_system()
-    rows = list(ts._successors.values())
+    succ = ts._successors
+    rows = list(succ.values())
     x, y = ts._mask({env.x}), ts._mask({env.y})
 
     def accepts_basis(S):
         for u in F.basis:
             cur = x
             for a in u.symbols:
-                cur = _step(ts, cur, a) & S
+                cur = _image(succ[a], cur) & S
             if not cur & y:
                 return False
         return True

@@ -119,14 +119,12 @@ def subset_of(F: FinalSegment, G: FinalSegment) -> bool:
 
 
 def product_in(F: FinalSegment, G: FinalSegment, H: FinalSegment) -> bool:
-    """F·G ⊆ H. F·G is generated by the basis products, so they suffice."""
+    """F·G ⊆ H. F·G is generated by the products uv of basis words, and
+    uG ⊆ H iff G ⊆ u\\H: so by residuation it holds iff G lies in the left
+    residual of H by every basis word u of F, two memoized calls per u."""
     _check_same_alphabet(F, G)
     _check_same_alphabet(G, H)
-    return all(
-        _holds(H.alphabet._order, H.basis, u.symbols + v.symbols)
-        for u in F.basis
-        for v in G.basis
-    )
+    return all(subset_of(G, left_residual(u, H)) for u in F.basis)
 
 
 def leq(F: FinalSegment, G: FinalSegment) -> bool:

@@ -1,7 +1,7 @@
 """Chain products, up-set counting, coding maps, and the phi/psi pair."""
 
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -156,6 +156,45 @@ class TestCounting:
                 for q in cp.points:
                     if all(a >= b for a, b in zip(q, x)):
                         assert q in members
+
+
+def chain_shapes(points: int, longest: int = 3):
+    """Every tuple of chain lengths, 1 included, of at most `longest` chains
+    with at most `points` points in their product."""
+    shapes, last = [], [()]
+    for _ in range(longest):
+        last = [
+            t + (n,) for t in last for n in range(1, points + 1) if prod(t) * n <= points
+        ]
+        shapes += last
+    return shapes
+
+
+def upset_masks_by_scan(points) -> list[int]:
+    """Every subset of the points, as a mask, that holds the up-set of each
+    of its points."""
+    up = [
+        sum(1 << j for j, q in enumerate(points) if all(a >= b for a, b in zip(q, p)))
+        for p in points
+    ]
+    return [
+        mask
+        for mask in range(1 << len(points))
+        if all(not up[i] & ~mask for i in range(len(points)) if mask >> i & 1)
+    ]
+
+
+def test_all_upsets_is_the_scan_of_every_subset():
+    shapes = chain_shapes(12)
+    assert (2, 2, 3) in shapes and (1, 12) in shapes and (3, 1, 4) in shapes
+    for dims in shapes:
+        cp = ChainProduct(dims)
+        got = [
+            sum(1 << i for i, p in enumerate(cp.points) if up_member(Y, p))
+            for Y in all_upsets(cp)
+        ]
+        assert got == upset_masks_by_scan(cp.points), dims
+        assert count_upsets(dims) == len(got)
 
 
 class TestCodingMaps:

@@ -16,6 +16,7 @@ from higman.segments import (
     full_segment,
     intersect,
     involute_seg,
+    right_residual,
     segment,
     subset_of,
 )
@@ -24,6 +25,7 @@ from higman.automata import (
     accepted_basis,
     accepts,
     is_reflexive_involutive,
+    language_equals_segment,
     minimal_dfa,
 )
 from higman.envelope import (
@@ -236,6 +238,30 @@ class TestBuildEnvelope:
             assert env.t_f == tf_system(env.alphabet, env.elements).transitions
             assert "transitions" in vars(env.transition_system())
 
+    def test_build_calls_no_language_check_and_no_residual(self, monkeypatch):
+        # every form, the columns' included, is read off the minimal DFA, and
+        # the acceptor's language is checked by verify and the tests alone
+        def refuse(*args):
+            raise AssertionError("called by the build")
+
+        for name, module in list(sys.modules.items()):
+            if name == "higman" or name.startswith("higman."):
+                for attr in ("language_equals_segment", "right_residual"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        for F in (segment(ab(), "aaa", "bbb"), segment(abc_primed(), "a[b']", "ba")):
+            env = build_envelope.__wrapped__(F)
+            assert env.y is F and env.elements[0] == full_segment(F.alphabet)
+
+    def test_acceptor_language_past_the_regression_sizes(self):
+        for F in (
+            segment(ab(), "aaaaa", "bbbbb"),
+            segment(abc(), "aaa", "bbb", "ccc"),
+            segment(ab(), "a" * 6, "b" * 6),
+        ):
+            env = build_envelope(F)
+            assert language_equals_segment(env.automaton(), F) == (True, None)
+
     def test_three_cubes(self):
         # counted as popcounts of the successor masks, with no triple made
         env = build_envelope(segment(abc(), "aaa", "bbb", "ccc"))
@@ -341,14 +367,28 @@ class TestExtents:
 class TestSegmentForms:
     # each element is read off minimal_dfa(F) with its extent as the
     # accepting set; by definition it is the meet of the residuals F/w whose
-    # columns hold its extent
+    # columns hold its extent. The residuals come from a walk of their own:
+    # F/(aw) = (F/w)/a, breadth-first in letter order, and the column of F/w
+    # is the mask of the quotients holding w.
     def test_each_form_is_the_meet_of_its_columns(self):
         large = build_envelope(segment(ab(), "aaaaa", "bbbbb"))
         for env in regression_envelopes() + [large]:
-            A, columns = env.alphabet, env.context.columns
+            A, context = env.alphabet, env.context
+            order, word = [env.y], {env.y: Word(A, ())}
+            for R in order:
+                for a in A.letters:
+                    S = right_residual(R, Word(A, (a,)))
+                    if S not in word:
+                        word[S] = Word(A, (a,) + word[R].symbols)
+                        order.append(S)
+            columns = {
+                R: sum(1 << i for i, L in enumerate(context.states) if contains(L, w))
+                for R, w in word.items()
+            }
+            assert tuple(columns.values()) == context.columns
             for P in env.elements:
                 E = env.extent[P]
-                held = [R for C, R in columns.items() if E & C == E]
+                held = [R for R, C in columns.items() if E & C == E]
                 assert P == reduce(intersect, held, full_segment(A)), P
                 assert minimal_words(P.basis) == P.basis, P
 
@@ -356,11 +396,14 @@ class TestSegmentForms:
         F = segment(ab(), "a" * 1100, "b")
         context = galois_context(F)
         assert len(context.states) > sys.getrecursionlimit()
-        # the accepting mask is F's column; the walk from F to it passes
-        # every state of the chain
-        mask = {R: C for C, R in context.columns.items()}
-        E, middle = mask[F], mask[segment(ab(), "a" * 550, "b")]
-        assert _forms(context, [E, middle]) == {E: F, middle: context.columns[middle]}
+        # the accepting mask, first of the columns, is F's; the walk from F to
+        # it passes every state of the chain. The columns run F, F/a, F/b = A*,
+        # then F/a^k at position k + 1.
+        E, middle = context.columns[0], context.columns[551]
+        assert _forms(context, [E, middle]) == {
+            E: F,
+            middle: segment(ab(), "a" * 550, "b"),
+        }
 
 
 class TestCovers:

@@ -9,7 +9,7 @@ from higman.segments import empty_segment, full_segment, segment
 from higman.automata import (
     Automaton,
     _bits,
-    _step,
+    _image,
     accepts,
     is_reflexive_involutive,
     language_equals_segment,
@@ -73,7 +73,7 @@ def full_envelope_minmax(env):
         for u in F.basis:
             cur = x
             for a in u.symbols:
-                cur = _step(ts, cur, a) & S
+                cur = _image(ts._successors[a], cur) & S
             if not cur & y:
                 return False
         return True
