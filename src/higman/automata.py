@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 
 from .words import MEMO_SIZE, Alphabet, Frozen, Value, Word
-from .segments import FinalSegment, canonicalize, is_full, left_residual
+from .segments import FinalSegment, _left_residual, canonicalize, is_full
 
 
 class TransitionSystem(Frozen):
@@ -221,9 +221,9 @@ def minimal_dfa(F: FinalSegment) -> Dfa:
     is_full test. The empty segment yields the one-state rejecting automaton.
     """
     A = F.alphabet
-    letters = [(a, Word(A, (a,))) for a in A.letters]
-    states = closure([F], lambda G: [left_residual(w, G) for _, w in letters])
-    delta = {(G, a): left_residual(w, G) for G in states for a, w in letters}
+    letters = [(a, chr(i)) for i, a in enumerate(A.letters)]
+    states = closure([F], lambda G: [_left_residual(c, G) for _, c in letters])
+    delta = {(G, a): _left_residual(c, G) for G in states for a, c in letters}
     accepting = frozenset(G for G in states if is_full(G))
     return Dfa(A, tuple(states), F, accepting, delta)
 

@@ -23,18 +23,19 @@ from collections import defaultdict, namedtuple
 from functools import lru_cache, reduce
 from operator import and_, or_
 
-from .words import Alphabet, Frozen, Value, Word
+from .words import Alphabet, Frozen, Value, _decode
 from .segments import (
     MEMO_SIZE,
     FinalSegment,
     _holds,
+    _left_residual,
+    _segment,
     concat_seg,
     full_segment,
     intersect,
     involute_seg,
     is_empty,
     is_full,
-    left_residual,
     seg_keys,
 )
 from .automata import (
@@ -232,10 +233,10 @@ def _forms(context: GaloisContext, extents) -> dict:
     delta(q, a). A word below a·v in one step drops a (v), lowers a to some
     b < a (b·v), or steps below v, which leaves the basis from delta(q, a):
     so a·v is minimal iff neither v nor any b·v takes q into E. An explicit
-    stack fills the states successors-first, and each basis, a list of
+    stack fills the states successors-first, and each basis, a list of code
     strings with letter i written as chr(i), is kept under (q, E & reach(q)):
-    the states q reaches are all that it reads of E. Each form is built by
-    FinalSegment, so it is the live segment of its value, if there is one.
+    the states q reaches are all that it reads of E. Each form is the live
+    segment of its code strings, sorted into its codes; no Word is built.
     """
     states, succ = context.states, context.succ
     A = states[0].alphabet
@@ -261,9 +262,8 @@ def _forms(context: GaloisContext, extents) -> dict:
     # E holds the successors of its states, so E & reach(q) = reach(q)
     # exactly when q lies in E: one entry per state serves every such E
     memo = {(q, m): [""] for q, m in enumerate(reach)}
-    # each word is kept once, as a string and as a Word, however many bases
-    # hold it
-    words, as_word = {}, {}
+    # each word is kept once, however many bases hold it
+    words = {}
 
     def basis(E):
         def into(p, v):
@@ -292,11 +292,7 @@ def _forms(context: GaloisContext, extents) -> dict:
                 and not (lower[c] and any(into(delta[q][b], v) for b in lower[c]))
             ]
             memo[key] = [words.setdefault(w, w) for w in found]
-        found = sorted(sorted(memo[0, E & reach[0]]), key=len)
-        for s in found:
-            if s not in as_word:
-                as_word[s] = Word(A, tuple(A.letters[ord(c)] for c in s))
-        return FinalSegment(A, tuple(as_word[s] for s in found))
+        return _segment(A, tuple(sorted(sorted(memo[0, E & reach[0]]), key=len)))
 
     return {E: basis(E) for E in extents}
 
@@ -367,10 +363,10 @@ def algebra_distance(p: FinalSegment, q: FinalSegment) -> FinalSegment:
     """
     A = p.alphabet
     forward = reduce(
-        intersect, (left_residual(u, q) for u in p.basis), full_segment(A)
+        intersect, (_left_residual(u, q) for u in p.codes), full_segment(A)
     )
     backward = reduce(
-        intersect, (left_residual(s, p) for s in q.basis), full_segment(A)
+        intersect, (_left_residual(s, p) for s in q.codes), full_segment(A)
     )
     return intersect(forward, involute_seg(backward))
 
@@ -412,11 +408,11 @@ def _by_distance(dists) -> dict:
     return groups
 
 
-def _holding(leq, groups: dict, symbols: tuple) -> int:
-    """The mask of the positions whose distance holds the word of the given
-    letters, under the alphabet's matching order leq."""
+def _holding(leq, groups: dict, s: str) -> int:
+    """The mask of the positions whose distance holds the word of the code
+    string s, under the codes' letter order leq."""
     return reduce(
-        or_, (mask for D, mask in groups.items() if _holds(leq, D.basis, symbols)), 0
+        or_, (mask for D, mask in groups.items() if _holds(leq, D.codes, s)), 0
     )
 
 
@@ -431,28 +427,27 @@ def check_convexity(space) -> tuple[bool, list]:
     mask per (v, Q), and a split has a midpoint iff they meet. A row d(P, .)
     or a column d(., Q) repeats few distances, so each is grouped once into
     {distance: mask of points}, and a mask is the OR of the groups whose
-    distance holds the word. Splits are letter tuples; only witnesses are
+    distance holds the word. Splits are code strings; only witnesses are
     made Words.
     """
     s = _pointed(space)
     A, points = s.alphabet, s.points
-    leq = A._order
+    leq = A._code_order
     rows = {P: _by_distance(s.d[(P, Z)] for Z in points) for P in points}
     cols = {Q: _by_distance(s.d[(Z, Q)] for Z in points) for Q in points}
     starts, ends = {}, {}
     witnesses = []
     for P in points:
         for Q in points:
-            for w in s.d[(P, Q)].basis:
-                syms = w.symbols
-                for cut in range(len(syms) + 1):
-                    u, v = syms[:cut], syms[cut:]
+            for w in s.d[(P, Q)].codes:
+                for cut in range(len(w) + 1):
+                    u, v = w[:cut], w[cut:]
                     if (P, u) not in starts:
                         starts[P, u] = _holding(leq, rows[P], u)
                     if (v, Q) not in ends:
                         ends[v, Q] = _holding(leq, cols[Q], v)
                     if not starts[P, u] & ends[v, Q]:
-                        witnesses.append((P, Q, Word(A, u), Word(A, v)))
+                        witnesses.append((P, Q, _decode(A, u), _decode(A, v)))
     return not witnesses, witnesses
 
 

@@ -3,6 +3,10 @@
 Words are compared by the Higman ordering: u embeds in v when there is a
 strictly increasing position map sending each letter of u to a position of v
 carrying a letter at least as large. All values here are immutable.
+
+Word is the public type; inside the segment algebra a word is a string of
+letter codes, letter i written as chr(i), which hashes, slices and compares in
+C and sorts by (length, string) as sort_key does. _encode and _decode convert.
 """
 
 from __future__ import annotations
@@ -50,9 +54,13 @@ class Alphabet:
             if a != b and (b, a) in pairs:
                 raise ValueError(f"letter order is not antisymmetric: {a!r} and {b!r}")
         self._leq: frozenset[tuple[str, str]] = frozenset(pairs)
-        # _leq as the matching kernel takes it: None when the order is
-        # equality, so matching is a plain subsequence test
+        # _leq as the matching kernel takes it, on letters and on letter codes
+        # (letter i is chr(i)): None when the order is equality, so matching
+        # is a plain subsequence test
         self._order = self._leq if any(a != b for a, b in pairs) else None
+        self._code_order = self._order and frozenset(
+            (chr(self.index[a]), chr(self.index[b])) for a, b in pairs
+        )
 
         bar = dict(involution or {})
         for a, b in list(bar.items()):
@@ -71,13 +79,6 @@ class Alphabet:
                     f"involution does not preserve the order on ({a!r}, {b!r})"
                 )
         self._bar: dict[str, str] = bar
-
-        # Minimal common upper bounds of letter pairs, precomputed.
-        self._letter_mubs: dict[tuple[str, str], tuple[str, ...]] = {}
-        for a, b in product(self.letters, repeat=2):
-            ups = [(c,) for c in self.letters if self.leq(a, c) and self.leq(b, c)]
-            self._letter_mubs[(a, b)] = tuple(c for (c,) in _minimal(self._order, ups))
-
         self._hash = hash((self.letters, self._leq, tuple(sorted(bar.items()))))
 
     def leq(self, a: str, b: str) -> bool:
@@ -308,35 +309,42 @@ def minimal_words(words) -> tuple[Word, ...]:
     words = list(words)
     for w in words:
         _check_same_alphabet(words[0], w)
-    return _basis(words[0].alphabet, {w.symbols for w in words}) if words else ()
-
-
-def _basis(A: Alphabet, seqs) -> tuple[Word, ...]:
-    """The minimal ones of a set of distinct letter tuples over A, as Words
-    in sort_key order; the letters are the caller's to check."""
-    return tuple(sorted((_word(A, s) for s in _minimal(A._order, seqs)), key=sort_key))
+    if not words:
+        return ()
+    A = words[0].alphabet
+    kept = _minimal(A._order, {w.symbols for w in words})
+    return tuple(sorted((_word(A, s) for s in kept), key=sort_key))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _letter_codes(A: Alphabet) -> tuple:
     """Letter i written as chr(i), with the letter order (None when it is
-    equality) and the minimal upper bounds of letter pairs carried over to
-    the codes."""
+    equality), the minimal upper bounds of letter pairs and the involution,
+    a str.translate table, carried over to the codes."""
     code = {a: chr(i) for i, a in enumerate(A.letters)}
-    leq = None if A._order is None else frozenset((code[a], code[b]) for a, b in A._leq)
-    mubs = {
-        (code[a], code[b]): "".join(code[c] for c in cs)
-        for (a, b), cs in A._letter_mubs.items()
-    }
-    return code, leq, mubs
+    mubs = {}
+    for a, b in product(A.letters, repeat=2):
+        ups = [code[c] for c in A.letters if A.leq(a, c) and A.leq(b, c)]
+        mubs[code[a], code[b]] = "".join(_minimal(A._code_order, ups))
+    bar = {i: A.index[A._bar[a]] for i, a in enumerate(A.letters)}
+    return code, A._code_order, mubs, bar
+
+
+def _encode(w: Word) -> str:
+    """w as a string of letter codes."""
+    return "".join(map(_letter_codes(w.alphabet)[0].__getitem__, w.symbols))
+
+
+def _decode(A: Alphabet, s: str) -> Word:
+    """The Word over A of a string of letter codes."""
+    return _word(A, tuple(A.letters[ord(c)] for c in s))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _mub_tuples(u: Word, v: Word) -> frozenset:
-    code, leq, mubs = _letter_codes(u.alphabet)
-    # words as strings of letter codes, which are cheap to extend and hash
-    us = "".join(code[a] for a in u.symbols)
-    vs = "".join(code[a] for a in v.symbols)
+def _mub_tuples(A: Alphabet, us: str, vs: str) -> frozenset:
+    """The minimal merges of two code strings; callers pass the pair sorted,
+    so that both orders share one entry."""
+    _, leq, mubs, _ = _letter_codes(A)
     n = len(vs)
     # below[j] holds the minimal merges of us[i + 1:] and vs[j:]; row i reads
     # only itself and row i + 1, so the rows are filled from the ends
@@ -355,8 +363,7 @@ def _mub_tuples(u: Word, v: Word) -> frozenset:
                 out.update(c + t for t in below[j + 1])
             row[j] = _minimal(leq, out)
         below = row
-    letters = u.alphabet.letters
-    return frozenset(tuple(letters[ord(c)] for c in w) for w in below[0])
+    return frozenset(below[0])
 
 
 def min_upper_bounds(u: Word, v: Word) -> set[Word]:
@@ -367,6 +374,5 @@ def min_upper_bounds(u: Word, v: Word) -> set[Word]:
     pair's minimal merges (`_minimal`); none exceeds |u| + |v| letters.
     """
     _check_same_alphabet(u, v)
-    if sort_key(v) < sort_key(u):
-        u, v = v, u
-    return {_word(u.alphabet, t) for t in _mub_tuples(u, v)}
+    A = u.alphabet
+    return {_decode(A, s) for s in _mub_tuples(A, *sorted((_encode(u), _encode(v))))}

@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -30,7 +31,14 @@ from higman.segments import (
     subset_of,
     union,
 )
-from higman.envelope import _forms, algebra_distance
+from higman import words
+from higman.envelope import (
+    _forms,
+    algebra_distance,
+    as_pointed,
+    build_envelope,
+    check_convexity,
+)
 from higman.words import Word, concat, embeds, involute, sort_key
 
 from helpers import (
@@ -437,6 +445,10 @@ def test_every_construction_path_gives_the_one_object_of_its_value():
             assert FinalSegment(alphabet=A, basis=fresh) is F
             assert copy.copy(F) is F
             assert copy.deepcopy(F) is F
+            assert F.basis is F.basis
+            G = pickle.loads(pickle.dumps(F))
+            assert G is F
+            assert G.basis == tuple(Word(A, u.symbols) for u in G.basis)
         assert segment(A) is empty_segment(A) is FinalSegment(A, ())
         assert segment(A, "") is full_segment(A) is canonicalize(A, [A.word("")])
         w = A.word(A.letters[0])
@@ -446,6 +458,52 @@ def test_every_construction_path_gives_the_one_object_of_its_value():
                 left_residual(w, F), involute_seg(F), algebra_distance(F, G),
             ):
                 assert canonicalize(A, list(R.basis)) is R
+            # a union, and an inclusion read as "the union is the larger one"
+            joined = canonicalize(A, F.basis + G.basis)
+            assert union(F, G) is joined
+            assert subset_of(F, G) is (joined is G)
+            products = [concat(u, v) for u in F.basis for v in G.basis]
+            for H in (G, joined, concat_seg(F, G)):
+                above = canonicalize(A, products + list(H.basis))
+                assert product_in(F, G, H) is (above is H)
+
+
+def test_the_metric_algebra_builds_no_word(monkeypatch):
+    """Over the {aaa,bbb} distance table the algebra runs on code strings:
+    concat_seg, subset_of, intersect, involute_seg, algebra_distance and
+    check_convexity, which finds no witness there, build no Word, so none is
+    made unless a basis is read."""
+    A = ab()
+    env = build_envelope(segment(A, "aaa", "bbb"))
+    space = as_pointed(env)
+    distances = sorted(set(space.d.values()), key=seg_key)
+    clear_caches()
+    made = []
+    word, init = words._word, Word.__init__
+
+    def spy_word(*args):
+        made.append(args)
+        return word(*args)
+
+    def spy_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("higman") and vars(module).get("_word") is word:
+            monkeypatch.setattr(module, "_word", spy_word)
+    monkeypatch.setattr(Word, "__init__", spy_init)
+    for D in distances:
+        involute_seg(D)
+        for E in distances:
+            concat_seg(D, E)
+            subset_of(D, E)
+            intersect(D, E)
+    for P in env.elements:
+        for Q in env.elements:
+            algebra_distance(P, Q)
+    assert check_convexity(space) == (True, [])
+    assert made == []
 
 
 def test_forms_of_the_regression_envelopes_are_the_shared_objects():
