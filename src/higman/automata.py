@@ -7,7 +7,8 @@ A system is stored as one successor mask per (letter, position), and every
 walk reads them: state sets are bitmasks over the positions of its states.
 The minimal deterministic automaton of a final segment is its left-residual
 closure. closure(), shortest_word() and find_bijection() are the machine
-layer's one reachability walk, shortest-word search and backtracking matcher.
+layer's one reachability walk, shortest-word search and backtracking matcher,
+and _first_difference its one comparison of languages with final segments.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 
 from .words import MEMO_SIZE, Alphabet, Frozen, Value, Word
-from .segments import FinalSegment, _left_residual, canonicalize, is_full
+from .segments import FinalSegment, _left_residual, canonicalize, empty_segment, is_full
 
 
 class TransitionSystem(Frozen):
@@ -132,9 +133,9 @@ def shortest_word(A: Alphabet, start, step, good) -> Word | None:
     configuration, or None if none is reachable.
 
     Breadth-first in letter order; step(config, a) gives the next
-    configuration, or None to prune it. A configuration is tested when it is
-    discovered rather than when it leaves the queue, which spares expanding
-    the configurations queued ahead of it.
+    configuration. A configuration is tested when it is discovered rather
+    than when it leaves the queue, which spares expanding the configurations
+    queued ahead of it.
     """
     if good(start):
         return Word(A, ())
@@ -144,7 +145,7 @@ def shortest_word(A: Alphabet, start, step, good) -> Word | None:
         config, syms = queue.popleft()
         for a in A.letters:
             nxt = step(config, a)
-            if nxt is None or nxt in seen:
+            if nxt in seen:
                 continue
             if good(nxt):
                 return Word(A, syms + (a,))
@@ -240,57 +241,52 @@ def complement(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet, dfa.states, dfa.start, accepting, dfa.delta)
 
 
-def _shortest_word_in_product(aut: Automaton, dfa: Dfa) -> Word | None:
-    """Length-lexicographically least word accepted by both machines; an
-    empty NFA state mask accepts nothing, so it is pruned."""
-    ts = aut.system
-    final = ts._mask(aut.final)
+def _first_difference(ts: TransitionSystem, start: int, targets) -> Word | None:
+    """Length-lexicographically least word on which the system, run from the
+    state mask start, and some target (mask, segment) disagree: the word
+    reaches the mask or lies in the segment, but not both. None if none does.
+    A configuration is the reached mask and the segments' left residuals by
+    the word read; a word lies in a segment iff its residual is A*. No mask is
+    pruned: an empty one still leads to the words of a segment it rejects."""
+    A, rows, masks = ts.alphabet, ts._successors, [m for m, _ in targets]
+    code = {a: chr(i) for i, a in enumerate(A.letters)}
 
     def step(config, a):
-        nfa_states = _image(ts._successors[a], config[0])
-        return (nfa_states, dfa.delta[(config[1], a)]) if nfa_states else None
+        c = code[a]
+        return _image(rows[a], config[0]), tuple(_left_residual(c, G) for G in config[1])
 
     def good(config):
-        return bool(config[0] & final) and config[1] in dfa.accepting
+        reached = config[0]
+        return any(bool(reached & m) != is_full(G) for m, G in zip(masks, config[1]))
 
-    return shortest_word(ts.alphabet, (ts._mask(aut.initial), dfa.start), step, good)
+    return shortest_word(A, (start, tuple(G for _, G in targets)), step, good)
 
 
 def accepted_basis(aut: Automaton) -> FinalSegment:
     """Canonical basis of the (up-closed) language of a saturated automaton.
 
     Repeatedly find the shortest accepted word outside the up-set generated so
-    far, by product search against the complement of the current up-set. Each
-    new word is incomparable to the ones found before, so the well-quasi-order
-    on words makes the loop finite.
+    far: the first difference between the automaton and that up-set, which
+    the language contains. Each new word is incomparable to the ones found
+    before, so the well-quasi-order on words makes the loop finite.
     """
     if not is_reflexive_involutive(aut.system):
         raise ValueError("accepted_basis needs a reflexive-involutive system")
-    A = aut.system.alphabet
-    basis: list[Word] = []
-    while True:
-        co = complement(minimal_dfa(canonicalize(A, basis)))
-        w = _shortest_word_in_product(aut, co)
-        if w is None:
-            return canonicalize(A, basis)
-        basis.append(w)
+    ts = aut.system
+    start, final = ts._mask(aut.initial), ts._mask(aut.final)
+    F = empty_segment(ts.alphabet)
+    while (w := _first_difference(ts, start, [(final, F)])) is not None:
+        F = canonicalize(ts.alphabet, F.basis + (w,))
+    return F
 
 
 def language_equals_segment(
     aut: Automaton, F: FinalSegment
 ) -> tuple[bool, Word | None]:
-    """Does the automaton accept exactly F? On failure returns a witness word.
-
-    Needs a reflexive-involutive system (the accepted language is then
-    up-closed, so basis acceptance covers all of F); the converse inclusion is
-    an emptiness check of the product with the complement of F.
-    """
-    if not is_reflexive_involutive(aut.system):
-        raise ValueError("language_equals_segment needs a reflexive-involutive system")
-    for u in F.basis:
-        if not accepts(aut, u):
-            return False, u
-    w = _shortest_word_in_product(aut, complement(minimal_dfa(F)))
+    """Does the automaton accept exactly F? On failure returns a witness word,
+    the least word in the symmetric difference; any system will do."""
+    ts = aut.system
+    w = _first_difference(ts, ts._mask(aut.initial), [(ts._mask(aut.final), F)])
     return w is None, w
 
 

@@ -34,6 +34,7 @@ from .segments import (
 )
 from .automata import (
     Automaton,
+    _first_difference,
     accepted_basis,
     language_equals_segment,
     minimal_dfa,
@@ -272,9 +273,15 @@ def _verify_checks(F: FinalSegment):
         return "acceptor matches the segment"
 
     def distance_identity():
-        # dist is algebraic; the path language is its independent oracle
+        # dist is algebraic; the path language is its independent oracle. Bit j
+        # of the system is elements[j], so one walk per P compares its row, the
+        # empty word included, which P's paths hold only at P; only a row that
+        # differs is checked pair by pair, to name the first pair that fails.
         ts = env.transition_system()
-        for P in elements:
+        for i, P in enumerate(elements):
+            targets = [(1 << j, d[P, Q]) for j, Q in enumerate(elements)]
+            if _first_difference(ts, 1 << i, targets) is None:
+                continue
             for Q in elements:
                 pair = f"d({format_segment(P)}, {format_segment(Q)})"
                 paths = Automaton(ts, frozenset({P}), frozenset({Q}))

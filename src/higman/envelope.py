@@ -11,10 +11,9 @@ with E as its accepting set; its basis is read off that automaton. The
 transition system over single letters is an acceptor of F. The distance
 between two elements is algebraic: d(P, Q) holds the words w with P.up(w)
 inside Q and Q.up(bar w) inside P. It equals the language of paths P -> Q in
-the transition system, which `higman verify` checks with
-language_equals_segment and the tests with accepted_basis. The morphism from
-minimal_dfa(F) into the envelope, sums of pointed spaces and concatenation
-decomposition live here too.
+the transition system, which `higman verify` checks one row per walk and the
+tests with accepted_basis. The morphism from minimal_dfa(F) into the envelope,
+sums of pointed spaces and concatenation decomposition live here too.
 """
 
 from __future__ import annotations
@@ -343,12 +342,10 @@ def min_dfa_morphism(F: FinalSegment, env: EnvelopeLattice | None = None) -> dic
 
 @lru_cache(maxsize=MEMO_SIZE)
 def dist(env: EnvelopeLattice, P: FinalSegment, Q: FinalSegment) -> FinalSegment:
-    """Distance between two envelope elements: algebra_distance(P, Q).
-
-    It equals the language of paths P -> Q in the envelope's transition
-    system; `higman verify` checks this with language_equals_segment and the
-    tests with accepted_basis.
-    """
+    """Distance between two envelope elements: algebra_distance(P, Q). It is
+    the language of paths P -> Q in the transition system, which `higman
+    verify` compares with the row of P in one walk and the tests read with
+    accepted_basis."""
     if P not in env.extent or Q not in env.extent:
         raise ValueError("dist arguments must be envelope elements")
     return algebra_distance(P, Q)

@@ -47,6 +47,7 @@ from oracles import (
     is_isomorphism,
     is_reflexive_involutive_oracle,
     isomorphic_oracle,
+    member,
     saturate_oracle,
     words_upto,
 )
@@ -201,8 +202,8 @@ class TestIsReflexiveInvolutive:
 
     def test_verdict_is_computed_once_per_system(self, monkeypatch, envelope_system):
         # the closure runs once over the system's masks; further calls, those
-        # of accepted_basis and language_equals_segment included, read the
-        # verdict kept beside the masks
+        # of accepted_basis included, read the verdict kept beside the masks
+        # (language_equals_segment takes any system and reads none)
         A, ts, top, low = envelope_system
         calls = []
         saturated = automata._saturated
@@ -237,6 +238,12 @@ class TestAccepts:
         aut = Automaton(ts, frozenset({top}), frozenset({low}))
         with pytest.raises(ValueError):
             accepts(aut, abc_primed().word("a"))
+
+    def test_states_outside_the_system_rejected(self, envelope_system):
+        A, ts, top, low = envelope_system
+        for initial, final in (({"z"}, {low}), ({top}, {low, "z"})):
+            with pytest.raises(ValueError, match="must be system states"):
+                Automaton(ts, frozenset(initial), frozenset(final))
 
 
 def scan_step(ts, states, a):
@@ -368,6 +375,52 @@ class TestLanguageEqualsSegment:
         aut = Automaton(ts, frozenset({"x"}), frozenset({"x"}))
         ok, witness = language_equals_segment(aut, full_segment(A))
         assert ok and witness is None
+
+    def test_any_system_against_words_to_length_four(self):
+        # seeded systems that are not saturated, and their saturations, each
+        # against segments drawn from the regression bases, the empty segment
+        # and the accepted basis of the saturation. A True verdict leaves no
+        # disagreement up to length 4; a False one gives the least word on
+        # which the triple walk and membership by embedding disagree.
+        rng = random.Random(29)
+        verdicts = {}
+        for A in (ab(), ab_ordered()):
+            words = words_upto(A, 4)
+            pool = regression_bases(A)
+            # x -> y on every letter, loops on x only: not involutive, and
+            # still the up-closed language of all nonempty words
+            one_way = {("x", a, q) for a in A.letters for q in "xy"}
+            systems = [(TransitionSystem(A, ("x", "y"), frozenset(one_way)), "x", "y")]
+            for _ in range(12):
+                states = tuple(f"q{i}" for i in range(rng.randint(1, 4)))
+                triples = frozenset(
+                    (p, a, q)
+                    for p in states
+                    for a in A.letters
+                    for q in states
+                    if rng.random() < 0.3
+                )
+                ts = TransitionSystem(A, states, triples)
+                systems.append((ts, rng.choice(states), rng.choice(states)))
+            for ts, start, end in systems:
+                ends = frozenset({start}), frozenset({end})
+                closed = accepted_basis(Automaton(saturate(ts), *ends))
+                for system in (ts, saturate(ts)):
+                    aut = Automaton(system, *ends)
+                    saturated = is_reflexive_involutive(system)
+                    for F in rng.sample(pool, 3) + [empty_segment(A), closed]:
+                        ok, witness = language_equals_segment(aut, F)
+                        differ = [
+                            w for w in words
+                            if scan_accepts(aut, w) != member(F.basis, w)
+                        ]
+                        if ok:
+                            assert witness is None and not differ
+                        else:
+                            assert scan_accepts(aut, witness) != member(F.basis, witness)
+                            assert not differ or witness == differ[0]
+                        verdicts[saturated, ok] = verdicts.get((saturated, ok), 0) + 1
+        assert min(verdicts.values()) >= 5 and len(verdicts) == 4, verdicts
 
 
 class TestMinimalDfa:

@@ -109,6 +109,8 @@ class TestUpSetBasics:
         Z = full_up_set(ChainProduct((2, 3)))
         with pytest.raises(ValueError):
             intersect_upsets(Y, Z)
+        with pytest.raises(ValueError, match="different chain products"):
+            union_upsets(Y, Z)
 
 
 class TestCounting:
@@ -442,6 +444,10 @@ class TestDisjointDownsets:
     def test_single_generator(self):
         A = ab()
         assert disjoint_downsets((A.word("ab"),))
+
+    def test_no_generators(self):
+        assert disjoint_downsets([])
+        assert disjoint_downsets(iter(()))
 
 
 class TestVerifyFullEmbedding:

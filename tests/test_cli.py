@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from higman import cli
+from higman.automata import Automaton
 from higman.chainprod import ChainProduct
 from higman.cli import SpecError, load_spec, main, parse_problem_spec
 from higman.envelope import build_envelope, dist
@@ -22,6 +23,7 @@ from helpers import (
     nonempty_words,
     output_under_another_hash_seed,
 )
+from oracles import member
 from test_golden import spec_dirs
 
 FIG1 = {"letters": ["a", "b"], "generators": ["aa", "bb"]}
@@ -328,6 +330,62 @@ class TestVerifyCommand:
         last = out.splitlines()[-1]
         assert last.startswith("FAIL: distance identity: ")
         assert "but the path language is" in last
+
+    def test_one_wrong_distance_is_named_with_a_separating_word(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # one off-diagonal distance is planted wrong; the failure names that
+        # pair, and its word lies in exactly one of the planted distance and
+        # the path language, by exhaustive embedding
+        path = spec_file(tmp_path, FIG1)
+        env = build_envelope(load_spec(path).segment())
+        P, Q = env.elements[1], env.elements[4]
+        true, wrong = dist(env, P, Q), env.y
+        assert P != Q and true != wrong
+        monkeypatch.setattr(
+            "higman.envelope.dist",
+            lambda e, p, q: wrong if (p, q) == (P, Q) else dist(e, p, q),
+        )
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 1
+        last = out.splitlines()[-1]
+        assert last.startswith(
+            f"FAIL: distance identity: d({format_segment(P)}, {format_segment(Q)}) = "
+            f"{format_segment(wrong)} but the path language is {format_segment(true)}; "
+        )
+        assert last.endswith(" separates them")
+        word = env.alphabet.word(last.rsplit("; ", 1)[1].removesuffix(" separates them"))
+        assert member(wrong.basis, word) != member(true.basis, word)
+
+    def test_identity_builds_nothing_per_pair(self, tmp_path, monkeypatch):
+        # the passing identity check walks one row per source: no
+        # language_equals_segment call, which only the envelope language
+        # step makes, and no Automaton built
+        F = load_spec(
+            spec_file(tmp_path, {"letters": ["a", "b"], "generators": ["aaa", "bbb"]})
+        ).segment()
+        step, calls, built = [None], [], []
+        compare = cli.language_equals_segment
+        monkeypatch.setattr(
+            cli,
+            "language_equals_segment",
+            lambda *args: calls.append(step[0]) or compare(*args),
+        )
+        init = Automaton.__init__
+
+        def counting_init(self, *args):
+            built.append(step[0])
+            init(self, *args)
+
+        monkeypatch.setattr(Automaton, "__init__", counting_init)
+        names = []
+        for name, thunk in cli._verify_checks(F):
+            step[0] = name
+            names.append(name)
+            thunk()
+        assert names[2] == "distance identity" and len(names) == 12
+        assert calls == ["envelope language"]
+        assert "distance identity" not in built
 
     def test_triangle_tests_each_distinct_triple_once(
         self, capsys, tmp_path, monkeypatch

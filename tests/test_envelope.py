@@ -643,6 +643,25 @@ class TestConcatPointed:
         assert len(glued.points) == 3
         assert glued.d[(glued.x, glued.y)] == segment(A, "aa")
 
+    def test_two_alphabets_rejected(self):
+        left = as_pointed(build_envelope(segment(ab(), "a")))
+        right = as_pointed(build_envelope(segment(ab_ordered(), "a")))
+        with pytest.raises(ValueError, match="different alphabets"):
+            concat_pointed(left, right)
+
+    def test_isometry_needs_equal_sizes_and_base_points(self):
+        # a pointed space with x = y matches none with x != y, and spaces of
+        # different sizes match nothing, before any distance is compared
+        A = ab()
+        pair = two_point_space(segment(A, "a"))
+        point = as_pointed(build_envelope(full_segment(A)))
+        assert pointed_isometric(pair, point) == (False, None)
+        assert pointed_isometric(point, pair) == (False, None)
+        merged = PointedSpace(A, pair.points, dict(pair.d), "x", "x")
+        assert pointed_isometric(pair, merged) == (False, None)
+        assert pointed_isometric(merged, pair) == (False, None)
+        assert pointed_isometric(merged, merged)[0]
+
 
 class TestVerifySumTheorem:
     def test_two_letters(self):

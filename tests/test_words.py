@@ -43,6 +43,11 @@ class TestAlphabet:
         with pytest.raises(ValueError, match="duplicate"):
             Alphabet(["a", "a"])
 
+    @pytest.mark.parametrize("letter", ["", "a[", "b]", 1])
+    def test_invalid_letter(self, letter):
+        with pytest.raises(ValueError, match="invalid letter"):
+            Alphabet(["a", letter])
+
     def test_unknown_order_letter(self):
         with pytest.raises(ValueError, match="unknown"):
             Alphabet(["a"], order=[("a", "z")])
@@ -70,6 +75,13 @@ class TestAlphabet:
         assert w.symbols == ("a", "a'", "b")
         with pytest.raises(ValueError, match="unterminated"):
             A.word("a[a'")
+
+    def test_word_from_an_iterable_of_letters(self):
+        A = abc_primed()
+        assert A.word(["a", "a'", "b"]) == A.word("a[a']b")
+        assert A.word(iter(("b", "a"))).symbols == ("b", "a")
+        with pytest.raises(ValueError, match="not in alphabet"):
+            A.word(["ab"])
 
     def test_word_rejects_foreign_letter(self):
         with pytest.raises(ValueError, match="not in alphabet"):
@@ -362,6 +374,10 @@ class TestMinimalWords:
         A = ab()
         ws = [A.word("ba"), A.word("b"), A.word("aa")]
         assert minimal_words(ws) == (A.word("b"), A.word("aa"))
+
+    def test_no_words(self):
+        assert minimal_words([]) == ()
+        assert minimal_words(iter(())) == ()
 
     @pytest.mark.parametrize(
         "make",
