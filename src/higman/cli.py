@@ -187,6 +187,11 @@ def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" + ("" if n == 1 else "s")
 
 
+def _show(w) -> str:
+    """A word as a message writes it: the empty word as ε."""
+    return str(w) or "ε"
+
+
 def cmd_envelope(args) -> int:
     F = load_spec(args.spec).segment()
     env = build_envelope(F)
@@ -269,7 +274,7 @@ def _verify_checks(F: FinalSegment):
 
     def envelope_language():
         ok, counterexample = language_equals_segment(env.automaton(), F)
-        assert ok, f"word {counterexample} separates the acceptor from the segment"
+        assert ok, f"word {_show(counterexample)} separates the acceptor from the segment"
         return "acceptor matches the segment"
 
     def distance_identity():
@@ -288,7 +293,7 @@ def _verify_checks(F: FinalSegment):
                 ok, word = language_equals_segment(paths, d[P, Q])
                 assert ok, (
                     f"{pair} = {format_segment(d[P, Q])} but the path language is "
-                    f"{format_segment(accepted_basis(paths))}; {word} separates them"
+                    f"{format_segment(accepted_basis(paths))}; {_show(word)} separates them"
                 )
                 assert is_full(d[P, Q]) == (P == Q), f"{pair} fails identity"
         return _count(len(elements) ** 2, "pair")

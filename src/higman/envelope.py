@@ -26,7 +26,7 @@ from .words import Alphabet, Frozen, Value, _decode
 from .segments import (
     MEMO_SIZE,
     FinalSegment,
-    _holds,
+    _in,
     _left_residual,
     _segment,
     concat_seg,
@@ -405,12 +405,10 @@ def _by_distance(dists) -> dict:
     return groups
 
 
-def _holding(leq, groups: dict, s: str) -> int:
+def _holding(groups: dict, s: str) -> int:
     """The mask of the positions whose distance holds the word of the code
-    string s, under the codes' letter order leq."""
-    return reduce(
-        or_, (mask for D, mask in groups.items() if _holds(leq, D.codes, s)), 0
-    )
+    string s."""
+    return reduce(or_, (mask for D, mask in groups.items() if _in(D, s)), 0)
 
 
 def check_convexity(space) -> tuple[bool, list]:
@@ -429,7 +427,6 @@ def check_convexity(space) -> tuple[bool, list]:
     """
     s = _pointed(space)
     A, points = s.alphabet, s.points
-    leq = A._code_order
     rows = {P: _by_distance(s.d[(P, Z)] for Z in points) for P in points}
     cols = {Q: _by_distance(s.d[(Z, Q)] for Z in points) for Q in points}
     starts, ends = {}, {}
@@ -440,9 +437,9 @@ def check_convexity(space) -> tuple[bool, list]:
                 for cut in range(len(w) + 1):
                     u, v = w[:cut], w[cut:]
                     if (P, u) not in starts:
-                        starts[P, u] = _holding(leq, rows[P], u)
+                        starts[P, u] = _holding(rows[P], u)
                     if (v, Q) not in ends:
-                        ends[v, Q] = _holding(leq, cols[Q], v)
+                        ends[v, Q] = _holding(cols[Q], v)
                     if not starts[P, u] & ends[v, Q]:
                         witnesses.append((P, Q, _decode(A, u), _decode(A, v)))
     return not witnesses, witnesses

@@ -8,13 +8,17 @@ algebra; envelope construction rejects it separately.
 
 The algebra runs on strings of letter codes (see words), a segment's codes:
 no Word is built unless a caller reads a basis, and Words passed in are
-encoded once, on entry.
+encoded once, on entry. Union, meet and the residuals minimize the words they
+generate; the product and the involution only sort theirs, since they map
+antichains to antichains (Higman 1952; see concat_seg). Membership of a code
+string is one kernel, _in, which contains, subset_of and the convexity check
+share.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from weakref import WeakValueDictionary
 
 from .words import (
@@ -78,10 +82,15 @@ def _segment(A: Alphabet, codes: tuple[str, ...]) -> FinalSegment:
     return F
 
 
+def _sorted(A: Alphabet, antichain) -> FinalSegment:
+    """The segment whose basis is an antichain of distinct code strings, put
+    in (length, string) order."""
+    return _segment(A, tuple(sorted(sorted(antichain), key=len)))
+
+
 def _canonical(A: Alphabet, strings) -> FinalSegment:
     """The segment generated upward by a set of distinct code strings."""
-    kept = _minimal(A._code_order, strings)
-    return _segment(A, tuple(sorted(sorted(kept), key=len)))
+    return _sorted(A, _minimal(A._code_order, strings))
 
 
 def canonicalize(alphabet: Alphabet, words) -> FinalSegment:
@@ -114,10 +123,13 @@ def is_full(F: FinalSegment) -> bool:
     return F.codes == ("",)
 
 
-def _holds(leq: frozenset | None, codes, s: str) -> bool:
-    """Some code string of codes embeds in s, under the codes' letter order
-    leq; the alphabet is the caller's to check, once per call."""
-    for u in codes:
+def _in(F: FinalSegment, s: str) -> bool:
+    """The word of the code string s lies in F: some basis word embeds in it.
+    The alphabet is the caller's to check. Not memoized: the metric pass on
+    {aaa,bbb} makes 16,179 tests over 2,136 distinct pairs, and a memo took
+    14% off its time but added 0.5 MB, 2%, to the peak memory."""
+    leq = F.alphabet._code_order
+    for u in F.codes:
         n = len(u)
         if n <= len(s) and _matched_prefix_len(leq, u, s) == n:
             return True
@@ -126,15 +138,14 @@ def _holds(leq: frozenset | None, codes, s: str) -> bool:
 
 def contains(F: FinalSegment, w: Word) -> bool:
     _check_same_alphabet(F, w)
-    return _holds(F.alphabet._code_order, F.codes, _encode(w))
+    return _in(F, _encode(w))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def subset_of(F: FinalSegment, G: FinalSegment) -> bool:
     """F ⊆ G. Up-closure makes the basis check sufficient."""
     _check_same_alphabet(F, G)
-    leq = G.alphabet._code_order
-    return all(_holds(leq, G.codes, u) for u in F.codes)
+    return all(map(_in, repeat(G), F.codes))
 
 
 def product_in(F: FinalSegment, G: FinalSegment, H: FinalSegment) -> bool:
@@ -170,9 +181,17 @@ def intersect(F: FinalSegment, G: FinalSegment) -> FinalSegment:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def concat_seg(F: FinalSegment, G: FinalSegment) -> FinalSegment:
-    """Monoid product: ↑u · ↑v = ↑(uv) on generators. ∅ absorbs."""
+    """Monoid product: ↑u · ↑v = ↑(uv) on generators. ∅ absorbs.
+
+    The products of two antichains U and V are distinct and pairwise
+    incomparable, so they are sorted, never minimized. Let u₁v₁ embed in u₂v₂,
+    so u₂v₂ = xy with u₁ ≤ x and v₁ ≤ y. If x is a prefix of u₂, then
+    u₁ ≤ u₂, so u₁ = u₂, and |u₁| ≤ |x| makes x = u₂; then v₁ ≤ v₂, so
+    v₁ = v₂. Otherwise y is a proper suffix of v₂, so v₁ ≤ v₂ and v₁ = v₂,
+    which |v₁| ≤ |y| < |v₂| forbids.
+    """
     _check_same_alphabet(F, G)
-    return _canonical(F.alphabet, {u + v for u in F.codes for v in G.codes})
+    return _sorted(F.alphabet, [u + v for u in F.codes for v in G.codes])
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -205,9 +224,12 @@ def _left_residual(s: str, F: FinalSegment) -> FinalSegment:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def involute_seg(F: FinalSegment) -> FinalSegment:
-    """Each generator reversed, with the letter involution applied."""
+    """Each generator reversed, with the letter involution applied. Reversal
+    composed with the order-preserving letter involution is a bijection that
+    preserves embedding both ways, so the images of an antichain are an
+    antichain: they are sorted, never minimized."""
     bar = _letter_codes(F.alphabet)[3]
-    return _canonical(F.alphabet, {u[::-1].translate(bar) for u in F.codes})
+    return _sorted(F.alphabet, [u[::-1].translate(bar) for u in F.codes])
 
 
 def seg_key(F: FinalSegment) -> tuple:

@@ -12,7 +12,7 @@ C and sorts by (length, string) as sort_key does. _encode and _decode convert.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from operator import attrgetter
 
 # entries per memoized function; the 63,504 distances of a 252-element envelope fit
@@ -47,8 +47,8 @@ class Alphabet:
             below = [a for a, b in pairs if b == k]
             above = [b for a, b in pairs if a == k]
             pairs.update((a, b) for a in below for b in above)
-        for a, b in pairs:
-            if a != b and (b, a) in pairs:
+        for a, b in combinations(self.letters, 2):  # in letter-index order
+            if (a, b) in pairs and (b, a) in pairs:
                 raise ValueError(f"letter order is not antisymmetric: {a!r} and {b!r}")
         self._leq: frozenset[tuple[str, str]] = frozenset(pairs)
         # _leq as the matching kernel takes it, on letters and on letter codes

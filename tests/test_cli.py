@@ -357,6 +357,27 @@ class TestVerifyCommand:
         word = env.alphabet.word(last.rsplit("; ", 1)[1].removesuffix(" separates them"))
         assert member(wrong.basis, word) != member(true.basis, word)
 
+    def test_empty_separating_word_is_written_epsilon(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A* planted off the diagonal: the empty word lies in it but not in
+        # the path language between two distinct elements, so ε separates them
+        path = spec_file(tmp_path, FIG1)
+        env = build_envelope(load_spec(path).segment())
+        P, Q = env.elements[1], env.elements[4]
+        full = canonicalize(env.alphabet, [env.alphabet.word("")])
+        monkeypatch.setattr(
+            "higman.envelope.dist",
+            lambda e, p, q: full if (p, q) == (P, Q) else dist(e, p, q),
+        )
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 1
+        last = out.splitlines()[-1]
+        assert last.startswith(
+            f"FAIL: distance identity: d({format_segment(P)}, {format_segment(Q)}) = A* "
+        )
+        assert last.endswith("; ε separates them")
+
     def test_identity_builds_nothing_per_pair(self, tmp_path, monkeypatch):
         # the passing identity check walks one row per source: no
         # language_equals_segment call, which only the envelope language
@@ -511,6 +532,30 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "6\n"
+
+
+def test_antisymmetry_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # the cycle d <= a <= b <= c <= d makes every two letters equivalent; the
+    # error names the first pair in letter order under every hash seed
+    order = [["d", "a"], ["a", "b"], ["c", "b"], ["b", "c"], ["c", "d"]]
+    path = spec_file(
+        tmp_path, {"letters": list("abcd"), "order": order, "generators": ["ab"]}
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    errors = set()
+    for seed in "0123":
+        proc = subprocess.run(
+            [sys.executable, "-m", "higman", "envelope", path],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        errors.add(proc.stderr)
+    assert errors == {
+        "spec error at /order: letter order is not antisymmetric: 'a' and 'b'\n"
+    }
 
 
 # subcommand -> the suffixes of the files it exports

@@ -5,6 +5,7 @@ import gc
 import pickle
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -39,7 +40,7 @@ from higman.envelope import (
     build_envelope,
     check_convexity,
 )
-from higman.words import Word, concat, embeds, involute, sort_key
+from higman.words import Alphabet, Word, _encode, concat, embeds, involute, sort_key
 
 from helpers import (
     ab,
@@ -52,7 +53,7 @@ from helpers import (
     regression_bases,
     regression_envelopes,
 )
-from oracles import concat_member, included, member, words_upto
+from oracles import concat_member, embeds_exhaustive, included, member, words_upto
 
 
 class TestCanonicalize:
@@ -367,6 +368,73 @@ def test_containment_kernel_agrees_with_the_oracle_on_drawn_bases():
             )
 
     check()
+
+
+def _pairs_and_involution() -> Alphabet:
+    """Four letters, a <= b and c <= d, with the involution a <-> c, b <-> d."""
+    return Alphabet(
+        ["a", "b", "c", "d"],
+        order=[("a", "b"), ("c", "d")],
+        involution={"a": "c", "b": "d"},
+    )
+
+
+def _incomparable(words) -> bool:
+    return not any(
+        embeds_exhaustive(u, v) or embeds_exhaustive(v, u)
+        for u, v in combinations(words, 2)
+    )
+
+
+@pytest.mark.parametrize("make", [ab, ab_ordered, abc_primed, _pairs_and_involution])
+def test_products_and_involutes_of_antichains_are_antichains(make):
+    """concat_seg's basis is every product uv of the two bases, and
+    involute_seg's every involute, each set pairwise incomparable by
+    exhaustive embedding; the membership kernel _in agrees with
+    oracles.member on the factors and on their product."""
+    A = make()
+    rng = random.Random(20261019)
+
+    def drawn_word(min_len, max_len):
+        return Word(A, tuple(rng.choices(A.letters, k=rng.randint(min_len, max_len))))
+
+    def drawn_basis():
+        return canonicalize(A, [drawn_word(1, 3) for _ in range(rng.randint(1, 4))])
+
+    for _ in range(40):
+        F, G = drawn_basis(), drawn_basis()
+        C = concat_seg(F, G)
+        products = [concat(u, v) for u in F.basis for v in G.basis]
+        assert len(C.basis) == len(products)
+        assert set(C.basis) == set(products) and _incomparable(products)
+        assert set(involute_seg(F).basis) == set(map(involute, F.basis))
+        assert _incomparable(involute_seg(F).basis)
+        for w in [drawn_word(0, 7) for _ in range(30)]:
+            code = _encode(w)
+            assert segments._in(F, code) == member(F.basis, w)
+            assert segments._in(C, code) == concat_member(F.basis, G.basis, w)
+
+
+def test_products_and_involutes_minimize_nothing(monkeypatch):
+    """Over the {aaa,bbb} distance table, concat_seg and involute_seg only
+    sort the words they make: no call reaches _minimal, which union, from
+    the same segments, does reach."""
+    A = ab()
+    space = as_pointed(build_envelope(segment(A, "aaa", "bbb")))
+    distances = sorted(set(space.d.values()), key=seg_key)
+    clear_caches()
+    calls = []
+    minimal = segments._minimal
+    monkeypatch.setattr(
+        segments, "_minimal", lambda *args: calls.append(args) or minimal(*args)
+    )
+    for D in distances:
+        involute_seg(D)
+        for E in distances:
+            concat_seg(D, E)
+    assert calls == []
+    union(distances[1], distances[2])
+    assert calls
 
 
 def test_memoized_subset_of_raises_on_every_mixed_alphabet_call():
