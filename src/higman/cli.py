@@ -14,7 +14,8 @@ letters and generators are required; order defaults to the trivial order,
 involution to the identity, and spec_version to 1. Letters are single
 characters unless written in brackets inside generator words: "a[b']c"
 is the three letters a, b', c. Exit codes: 0 answer produced, 1 a
-verification check failed, 2 malformed input, 3 a size cap exceeded.
+verification check failed, 2 malformed input or an output file that cannot
+be written, 3 a size cap exceeded.
 """
 
 import argparse
@@ -153,14 +154,14 @@ def parse_problem_spec(data) -> ProblemSpec:
 
 
 def load_spec(path: str) -> ProblemSpec:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, encoding="utf-8") as f:
                 text = f.read()
-        except OSError as e:
-            raise SpecError("", str(e)) from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise SpecError("", str(e)) from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -295,7 +296,6 @@ def _verify_checks(F: FinalSegment):
                     f"{pair} = {format_segment(d[P, Q])} but the path language is "
                     f"{format_segment(accepted_basis(paths))}; {_show(word)} separates them"
                 )
-                assert is_full(d[P, Q]) == (P == Q), f"{pair} fails identity"
         return _count(len(elements) ** 2, "pair")
 
     def distance_triangle():
@@ -458,7 +458,7 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

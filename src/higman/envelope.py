@@ -176,20 +176,20 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
 
     def meets_below(E):
         # E ∧ C = E exactly when E ⊆ C, so only the other columns give meets
-        # below E; every AND of columns is reached one column at a time
-        meets = below[E] = {E & C for C in columns}
+        # below E; every AND of columns is reached one column at a time. A
+        # lower cover M of E is the AND of the columns holding it, one of
+        # which misses E (else E ⊆ M): so M = E ∧ column, a largest meet
+        # below E, and only the largest are kept.
+        meets = {E & C for C in columns}
         meets.discard(E)
+        below[E] = _largest(meets)
         return meets
 
     # all ones is a column: A* = F/w for any w in F
     extents = closure(columns, meets_below)
     segment_of = _forms(context, extents)
-    # A lower cover C of E is the AND of the columns holding it, one of which
-    # misses E (else E ⊆ C): so C = E ∧ column, a largest meet below E.
     covers = frozenset(
-        (segment_of[M], segment_of[E])
-        for E, meets in below.items()
-        for M in _largest(meets)
+        (segment_of[M], segment_of[E]) for E, largest in below.items() for M in largest
     )
     key = dict(zip(segment_of, seg_keys(segment_of.values())))
     order = sorted(segment_of, key=key.__getitem__)
@@ -225,19 +225,23 @@ def _forms(context: GaloisContext, extents) -> dict:
     gets its element, and a column C gets its residual F/w, since u lies in
     F/w exactly when delta(F, u) holds w, that is, lies in C.
 
-    A quotient's a-successor holds it, since w embeds in aw: so the automaton
-    has no cycle but its loops. The basis of the words taking a state q into
-    E is then {ε} when q lies in E, and otherwise the minimal words a·v over
-    the letters a with delta(q, a) != q and the v in the basis from
-    delta(q, a). A word below a·v in one step drops a (v), lowers a to some
-    b < a (b·v), or steps below v, which leaves the basis from delta(q, a):
-    so a·v is minimal iff neither v nor any b·v takes q into E. An explicit
-    stack fills the states successors-first, and each basis, a list of code
-    strings with letter i written as chr(i), is kept under (q, E & reach(q)):
-    the states q reaches are all that it reads of E. Each form is the live
-    segment of its code strings, sorted into its codes; no Word is built.
+    A quotient's a-successor holds it, since w embeds in aw; if the two
+    differ, some w lies in the successor alone, so more columns hold the
+    successor than hold the quotient: every column holding the quotient, and
+    the column of w. Sorted by how many columns hold them, most first, the
+    states come successors-first: the automaton has no cycle but its loops,
+    and states that tie have no edge between them. The basis of the words
+    taking a state q into E is then {ε} when q lies in E, and otherwise the
+    minimal words a·v over the letters a with delta(q, a) != q and the v in
+    the basis from delta(q, a). A word below a·v in one step drops a (v),
+    lowers a to some b < a (b·v), or steps below v, which leaves the basis
+    from delta(q, a): so a·v is minimal iff neither v nor any b·v takes q
+    into E. One pass in that order fills every basis, a list of code strings
+    with letter i written as chr(i), kept under (q, E & reach(q)): the states
+    q reaches are all that it reads of E. Each form is the live segment of
+    its code strings, sorted into its codes; no Word is built.
     """
-    states, succ = context.states, context.succ
+    states, succ, columns = context.states, context.succ, context.columns
     A = states[0].alphabet
     delta = [
         {chr(i): succ[a][q] for i, a in enumerate(A.letters)} for q in range(len(states))
@@ -247,15 +251,9 @@ def _forms(context: GaloisContext, extents) -> dict:
         for i, a in enumerate(A.letters)
     }
     edges = [[(c, r) for c, r in row.items() if r != q] for q, row in enumerate(delta)]
-    reach = [0] * len(states)  # zero until filled; then it holds q itself
-    stack = [0]
-    while stack:
-        q = stack[-1]
-        todo = [r for _, r in edges[q] if not reach[r]]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
+    order = sorted(range(len(states)), key=lambda q: -sum(C >> q & 1 for C in columns))
+    reach = [0] * len(states)
+    for q in order:
         reach[q] = reduce(or_, (reach[r] for _, r in edges[q]), 1 << q)
 
     # E holds the successors of its states, so E & reach(q) = reach(q)
@@ -270,23 +268,14 @@ def _forms(context: GaloisContext, extents) -> dict:
                 p = delta[p][c]
             return E >> p & 1
 
-        stack = [0]
-        while stack:
-            q = stack[-1]
+        for q in order:
             key = q, E & reach[q]
             if key in memo:
-                stack.pop()
                 continue
-            nexts = [(c, r, E & reach[r]) for c, r in edges[q]]
-            todo = [r for _, r, m in nexts if (r, m) not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
             found = [
                 c + v
-                for c, r, m in nexts
-                for v in memo[r, m]
+                for c, r in edges[q]
+                for v in memo[r, E & reach[r]]
                 if not into(q, v)
                 and not (lower[c] and any(into(delta[q][b], v) for b in lower[c]))
             ]

@@ -378,6 +378,25 @@ class TestVerifyCommand:
         )
         assert last.endswith("; ε separates them")
 
+    def test_wrong_diagonal_distance_is_separated_by_epsilon(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # F planted on the diagonal: the path language from an element to
+        # itself holds the empty word, which F does not
+        path = spec_file(tmp_path, FIG1)
+        env = build_envelope(load_spec(path).segment())
+        P = env.elements[1]
+        monkeypatch.setattr(
+            "higman.envelope.dist",
+            lambda e, p, q: e.y if p == q == P else dist(e, p, q),
+        )
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            "FAIL: distance identity: d(↑{a,b}, ↑{a,b}) = ↑{aa,bb} "
+            "but the path language is A*; ε separates them"
+        )
+
     def test_identity_builds_nothing_per_pair(self, tmp_path, monkeypatch):
         # the passing identity check walks one row per source: no
         # language_equals_segment call, which only the envelope language
@@ -471,6 +490,33 @@ class TestTopLevelErrors:
         _, first, _ = run(capsys, "envelope", path)
         _, second, _ = run(capsys, "envelope", path)
         assert first == second
+
+    @pytest.mark.parametrize("flag", ["--json", "--dot"])
+    def test_output_in_a_missing_directory(self, capsys, tmp_path, flag):
+        target = str(tmp_path / "missing" / "out")
+        path = spec_file(tmp_path, FIG1)
+        code, out, err = run(capsys, "envelope", path, flag, target)
+        assert code == 2
+        assert out.startswith("6 elements\n")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert target in err and "Traceback" not in err
+
+    def test_output_path_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "mindfa", spec_file(tmp_path, FIG1), "--dot", str(tmp_path)
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_spec_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "envelope", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("spec error at document root: 'utf-8' codec")
+        assert "Traceback" not in err
 
     def test_fuzzed_spec_files_exit_cleanly(self, tmp_path):
         """Random JSON documents, spec-shaped or not, in a spec file: every

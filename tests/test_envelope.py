@@ -392,6 +392,21 @@ class TestSegmentForms:
                 assert P == reduce(intersect, held, full_segment(A)), P
                 assert minimal_words(P.basis) == P.basis, P
 
+    def test_more_columns_hold_a_successor_than_its_state(self):
+        # the order _forms fills the states in: a strict successor lies in
+        # every column holding its state, and in one more
+        bases = regression_bases() + regression_bases(ab_ordered())
+        large = [segment(ab(), "a" * 6, "b" * 6), segment(abc(), "aaa", "bbb", "ccc")]
+        for F in bases + large:
+            context = galois_context(F)
+            columns, k = context.columns, len(context.states)
+            held = [sum(C >> q & 1 for C in columns) for q in range(k)]
+            for row in context.succ.values():
+                for q, r in enumerate(row):
+                    if r != q:
+                        assert all(C >> r & 1 for C in columns if C >> q & 1), (F, q)
+                        assert held[r] > held[q], (F, q, r)
+
     def test_deep_automaton_needs_no_recursion(self):
         F = segment(ab(), "a" * 1100, "b")
         context = galois_context(F)
