@@ -394,12 +394,6 @@ def _by_distance(dists) -> dict:
     return groups
 
 
-def _holding(groups: dict, s: str) -> int:
-    """The mask of the positions whose distance holds the word of the code
-    string s."""
-    return reduce(or_, (mask for D, mask in groups.items() if _in(D, s)), 0)
-
-
 def check_convexity(space) -> tuple[bool, list]:
     """Every split of every distance word admits a midpoint.
 
@@ -411,13 +405,33 @@ def check_convexity(space) -> tuple[bool, list]:
     mask per (v, Q), and a split has a midpoint iff they meet. A row d(P, .)
     or a column d(., Q) repeats few distances, so each is grouped once into
     {distance: mask of points}, and a mask is the OR of the groups whose
-    distance holds the word. Splits are code strings; only witnesses are
-    made Words.
+    distance holds the word. Rows and columns share their distances, so
+    whether a distance holds a word is kept in a table for the call and
+    tested once: on {aaa,bbb}, 420 tests where one per group took 5,416.
+    Splits are code strings; only witnesses are made Words.
+
+    An envelope argument costs a full as_pointed, which builds the whole
+    distance table through dist; past sqrt(MEMO_SIZE) elements, 256, dist's
+    cache keeps none of that table between calls. Checks of one envelope
+    should share one as_pointed(env).
     """
     s = _pointed(space)
     A, points = s.alphabet, s.points
     rows = {P: _by_distance(s.d[(P, Z)] for Z in points) for P in points}
     cols = {Q: _by_distance(s.d[(Z, Q)] for Z in points) for Q in points}
+    held = {}
+
+    def holding(groups, w):
+        # the mask of the positions whose distance holds w
+        mask = 0
+        for D, group in groups.items():
+            found = held.get((D, w))
+            if found is None:
+                found = held[D, w] = _in(D, w)
+            if found:
+                mask |= group
+        return mask
+
     starts, ends = {}, {}
     witnesses = []
     for P in points:
@@ -426,9 +440,9 @@ def check_convexity(space) -> tuple[bool, list]:
                 for cut in range(len(w) + 1):
                     u, v = w[:cut], w[cut:]
                     if (P, u) not in starts:
-                        starts[P, u] = _holding(rows[P], u)
+                        starts[P, u] = holding(rows[P], u)
                     if (v, Q) not in ends:
-                        ends[v, Q] = _holding(cols[Q], v)
+                        ends[v, Q] = holding(cols[Q], v)
                     if not starts[P, u] & ends[v, Q]:
                         witnesses.append((P, Q, _decode(A, u), _decode(A, v)))
     return not witnesses, witnesses
@@ -442,6 +456,8 @@ def no_proper_isometric_subspace(space) -> bool:
     and fixing the rest preserves distances. So the test is whether the
     (row, column) distance profiles tell all points apart; columns count too,
     since a general pointed space need not be symmetric under the involution.
+    As in check_convexity, an envelope argument costs a full as_pointed;
+    checks of one envelope should share one as_pointed(env).
     """
     s = _pointed(space)
     profiles = {

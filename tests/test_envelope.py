@@ -47,6 +47,7 @@ from higman.envelope import (
     residual_closure,
     verify_sum_theorem,
 )
+from higman import envelope
 from higman.minmax import search_minmax
 
 from helpers import (
@@ -506,6 +507,22 @@ class TestConvexity:
         A, env = square_pair_envelope()
         ok, witnesses = check_convexity(env)
         assert ok and witnesses == []
+
+    def test_each_distance_tests_each_word_once(self, monkeypatch):
+        # rows and columns repeat distances: one membership test per
+        # (distance, code string) for the whole call, 420 on {aaa,bbb},
+        # where a test per group made 5,416
+        space = as_pointed(build_envelope(segment(ab(), "aaa", "bbb")))
+        calls = []
+        kernel = envelope._in
+
+        def spy(D, s):
+            calls.append((D, s))
+            return kernel(D, s)
+
+        monkeypatch.setattr(envelope, "_in", spy)
+        assert check_convexity(space) == (True, [])
+        assert len(calls) == len(set(calls)) == 420
 
     def test_chain_envelope(self):
         A = ab()

@@ -596,6 +596,28 @@ def test_the_table_keeps_no_dropped_segment_alive():
     assert key not in segments._interned
 
 
+def test_a_dead_reference_in_the_table_gives_a_new_live_segment():
+    # while the table is iterated its removals are deferred, so a segment
+    # that dies leaves its dead reference in the table's dict; the segment is
+    # made after the iterator starts, since it keeps the item it last yielded
+    A = abc_primed()
+    kept = full_segment(A)
+    items = iter(segments._interned.items())
+    next(items)
+    F = segment(A, "[a'][c']b[b']ca", "c[a'][b']ab[c']")
+    key, codes = (A, F.codes), F.codes
+    del F
+    gc.collect()
+    assert segments._interned.data[key]() is None
+    G = canonicalize(A, [A.word("[a'][c']b[b']ca"), A.word("c[a'][b']ab[c']")])
+    assert G.codes == codes
+    assert canonicalize(A, list(G.basis)) is G
+    assert segments._interned.data[key]() is G
+    # storing G committed the deferred removals: the iterator is not advanced
+    items.close()
+    assert kept is full_segment(A)
+
+
 def test_seg_keys_are_basis_size_then_word_keys():
     for A in (ab(), ab_ordered(), abc_primed()):
         bases = regression_bases(A, max_gens=3, max_len=2)
