@@ -74,14 +74,15 @@ class EnvelopeLattice(Frozen):
 
     elements are closed under pairwise intersection, hold both base points
     x = A* and y = F, and are sorted by seg_key (build_envelope is the only
-    constructor); hasse holds the covers (lower, upper). The reflexive-
+    constructor); hasse holds the covers (lower, upper). extent maps each
+    element to its bitmask and context is galois_context(y). The reflexive-
     involutive system on the elements holds (P, a, Q) iff P.up(a) lies inside
-    Q and Q.up(bar a) inside P; t_f, its triples, is a view built on first
-    read. extent maps each element to its bitmask and context is
-    galois_context(y). y determines the elements, and they the system, extent
-    and context, which are left out of equality and repr; so the hash, which
-    dist's cache key needs, is hash(y): y's identity, since segments are
-    interned."""
+    Q and Q.up(bar a) inside P; its successor masks are read off the extents
+    by transition_system() on first read and kept, unless a system is given,
+    and t_f, its triples, is a view of them built on first read. y determines
+    the elements, and they the system, extent and context, which are left out
+    of equality and repr; so the hash, which dist's cache key needs, is
+    hash(y): y's identity, since segments are interned."""
 
     _fields = ("alphabet", "elements", "x", "y", "hasse")
 
@@ -94,7 +95,7 @@ class EnvelopeLattice(Frozen):
         hasse: frozenset,
         extent: dict,
         context: GaloisContext,
-        _system: TransitionSystem,
+        _system: TransitionSystem | None,
     ):
         vars(self).update(
             alphabet=alphabet,
@@ -112,13 +113,17 @@ class EnvelopeLattice(Frozen):
 
     @property
     def t_f(self) -> frozenset:
-        return self._system.transitions
+        return self.transition_system().transitions
 
     def transition_system(self) -> TransitionSystem:
+        if self._system is None:
+            vars(self)["_system"] = _successor_system(self)
         return self._system
 
     def automaton(self) -> Automaton:
-        return Automaton(self._system, frozenset({self.x}), frozenset({self.y}))
+        return Automaton(
+            self.transition_system(), frozenset({self.x}), frozenset({self.y})
+        )
 
 
 def galois_context(F: FinalSegment) -> GaloisContext:
@@ -161,17 +166,18 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     gets its segment form, which display, export and dist read, from _forms:
     the language of minimal_dfa(F) with E as its accepting set, with no meet
     of segments. The lower covers of an extent are the largest of its meets
-    with the columns not above it. (P, a, Q) is a transition iff E_P lies
-    inside pre_a(E_Q) and E_Q inside pre_{bar a}(E_P), so each successor mask
-    is an AND and an OR of the masks of the elements holding each object.
-    The automaton from x = A* to y = F accepts exactly F; `higman verify`
-    and the tests check that with language_equals_segment.
+    with the columns not above it. No transition is computed here: the
+    system's successor masks are read off the extents by
+    env.transition_system() when first read, since elements, distances and
+    covers never need them. The automaton from x = A* to y = F accepts
+    exactly F; `higman verify` and the tests check that with
+    language_equals_segment.
     """
     if is_empty(F):
         raise ValueError("the empty segment has no envelope")
     A = F.alphabet
     context = galois_context(F)
-    columns, succ, pre = context.columns, context.succ, context.pre
+    columns = context.columns
     below = {}
 
     def meets_below(E):
@@ -194,6 +200,20 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     key = dict(zip(segment_of, seg_keys(segment_of.values())))
     order = sorted(segment_of, key=key.__getitem__)
     ordered = tuple(segment_of[E] for E in order)
+    extent = dict(zip(ordered, order))
+    return EnvelopeLattice(
+        A, ordered, full_segment(A), F, covers, extent, context, None
+    )
+
+
+def _successor_system(env: EnvelopeLattice) -> TransitionSystem:
+    """The transition system of env as successor masks, bit j standing for
+    env.elements[j]. (P, a, Q) is a transition iff E_P lies inside pre_a(E_Q)
+    and E_Q inside pre_{bar a}(E_P), so each successor mask is an AND and an
+    OR of the masks of the elements holding each object."""
+    A, context = env.alphabet, env.context
+    succ, pre = context.succ, context.pre
+    order = [env.extent[P] for P in env.elements]
     # Bit j of holds[o] says order[j] holds object o. Q is an a-successor of
     # P iff Q holds delta(o, a) for each o in E_P (there is one: all hold A*)
     # and holds no object outside pre_{bar a}(E_P).
@@ -211,11 +231,7 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
         return up & ~out
 
     rows = {a: [successors(a, E) for E in order] for a in A.letters}
-    system = TransitionSystem._from_rows(A, ordered, rows)
-    extent = dict(zip(ordered, order))
-    return EnvelopeLattice(
-        A, ordered, full_segment(A), F, covers, extent, context, system
-    )
+    return TransitionSystem._from_rows(A, env.elements, rows)
 
 
 def _forms(context: GaloisContext, extents) -> dict:
@@ -534,7 +550,8 @@ def decompose(F: FinalSegment) -> list[FinalSegment]:
 
     The factor boundaries are the states of the envelope system that
     disconnect x from y; consecutive-state distances are the factors. The
-    product is re-checked against F and each factor against irreducibility.
+    product is re-checked against F, and each factor of a proper split against
+    irreducibility: with no cut the one factor is F, whose walk just ran.
     """
     if is_empty(F):
         raise ValueError("the empty segment has no decomposition")
@@ -542,14 +559,15 @@ def decompose(F: FinalSegment) -> list[FinalSegment]:
     if is_full(F):
         return []
     env = build_envelope(F)
-    ts = env.transition_system()
-    chain = [env.x] + articulation_states(ts, env.x, env.y) + [env.y]
+    cuts = articulation_states(env.transition_system(), env.x, env.y)
+    chain = [env.x] + cuts + [env.y]
     factors = [dist(env, chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
     product = reduce(concat_seg, factors, full_segment(A))
     if product != F:
         raise RuntimeError("decomposition factors do not multiply back to F")
-    for G in factors:
-        sub = build_envelope(G)
-        if articulation_states(sub.transition_system(), sub.x, sub.y):
-            raise RuntimeError("decomposition factor admits a further cut")
+    if cuts:
+        for G in factors:
+            sub = build_envelope(G)
+            if articulation_states(sub.transition_system(), sub.x, sub.y):
+                raise RuntimeError("decomposition factor admits a further cut")
     return factors

@@ -66,13 +66,30 @@ def regression_bases(alphabet=None, max_gens=3, max_len=3) -> list[FinalSegment]
     return out
 
 
-def regression_envelopes() -> list:
-    """The envelopes of every nonempty a <= b regression basis and of forty
-    sampled nonempty a, b ones (seeded)."""
+def regression_segments() -> list[FinalSegment]:
+    """Every nonempty a <= b regression basis and forty sampled nonempty
+    a, b ones (seeded)."""
     sampled = [F for F in regression_bases(ab()) if F.basis]
     random.Random(31).shuffle(sampled)
     ordered = [F for F in regression_bases(ab_ordered()) if F.basis]
-    return [build_envelope(F) for F in ordered + sampled[:40]]
+    return ordered + sampled[:40]
+
+
+def regression_envelopes() -> list:
+    """The envelopes of the regression segments."""
+    return [build_envelope(F) for F in regression_segments()]
+
+
+def spec_document(F: FinalSegment) -> dict:
+    """A problem document whose segment is F."""
+    A = F.alphabet
+    letters = A.letters
+    return {
+        "letters": list(letters),
+        "order": [[a, b] for a in letters for b in letters if a != b and A.leq(a, b)],
+        "involution": {a: A.bar(a) for a in letters if A.bar(a) != a},
+        "generators": [str(w) for w in F.basis],
+    }
 
 
 def times_letter_in(P: FinalSegment, a: str, Q: FinalSegment) -> bool:

@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 import sys
@@ -24,6 +25,7 @@ from higman.automata import (
     Automaton,
     accepted_basis,
     accepts,
+    articulation_states,
     is_reflexive_involutive,
     language_equals_segment,
     minimal_dfa,
@@ -48,6 +50,7 @@ from higman.envelope import (
     verify_sum_theorem,
 )
 from higman import envelope
+from higman.cli import main
 from higman.minmax import search_minmax
 
 from helpers import (
@@ -58,6 +61,8 @@ from helpers import (
     output_under_another_hash_seed,
     regression_bases,
     regression_envelopes,
+    regression_segments,
+    spec_document,
     tf_system,
 )
 from oracles import (
@@ -306,6 +311,43 @@ env = build_envelope(segment(ab(), "aaa", "bbb"))
 assert dist(env, env.x, env.y) == env.y
 sys.stdout.buffer.write(pickle.dumps(env))
 """
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that logs each call's arguments in
+    the returned list and then calls the original."""
+    original, calls = getattr(module, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestSystemView:
+    def test_no_row_is_built_unless_read(self, monkeypatch, tmp_path, capsys):
+        build_envelope.cache_clear()
+        calls = count_calls(monkeypatch, envelope, "_successor_system")
+        for F in regression_segments():
+            env = build_envelope(F)
+            as_pointed(env)
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(spec_document(F)), encoding="utf-8")
+            assert main(["envelope", str(spec)]) == 0
+            assert capsys.readouterr().out.startswith(f"{len(env.elements)} element")
+            assert env._system is None
+        assert calls == []
+
+    def test_first_read_builds_once_and_keeps_the_system(self, monkeypatch):
+        build_envelope.cache_clear()
+        calls = count_calls(monkeypatch, envelope, "_successor_system")
+        env = build_envelope(segment(ab(), "aa", "bb"))
+        ts = env.transition_system()
+        assert env.transition_system() is ts
+        assert env.automaton().system is ts and env.t_f is ts.transitions
+        assert calls == [(env,)]
 
 
 class TestExtents:
@@ -744,6 +786,28 @@ class TestDecompose:
         A = ab()
         F = segment(A, "ab", "ba")
         assert decompose(F) == [F]
+
+    def test_irreducible_segment_is_walked_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, envelope, "articulation_states")
+        A = ab()
+        for F in (segment(A, "aa", "bb"), segment(A, "ab", "ba")):
+            calls.clear()
+            assert decompose(F) == [F]
+            assert len(calls) == 1
+
+    def test_factors_are_irreducible_on_the_regression_envelopes(self, monkeypatch):
+        # a proper split walks F and then each factor; a single factor is F
+        calls = count_calls(monkeypatch, envelope, "articulation_states")
+        for env in regression_envelopes():
+            F = env.y
+            calls.clear()
+            factors = decompose(F)
+            assert reduce(concat_seg, factors, full_segment(F.alphabet)) == F
+            for G in factors:
+                sub = build_envelope(G)
+                assert articulation_states(sub.transition_system(), sub.x, sub.y) == []
+            walks = 0 if not factors else 1 if len(factors) == 1 else 1 + len(factors)
+            assert len(calls) == walks
 
     def test_factors_multiply_back(self):
         rng = random.Random(23)
