@@ -252,10 +252,12 @@ def _forms(context: GaloisContext, extents) -> dict:
     the basis from delta(q, a). A word below a·v in one step drops a (v),
     lowers a to some b < a (b·v), or steps below v, which leaves the basis
     from delta(q, a): so a·v is minimal iff neither v nor any b·v takes q
-    into E. One pass in that order fills every basis, a list of code strings
-    with letter i written as chr(i), kept under (q, E & reach(q)): the states
-    q reaches are all that it reads of E. Each form is the live segment of
-    its code strings, sorted into its codes; no Word is built.
+    into E. The states q reaches are all that this reads of E, so one pass
+    over the states in that order fills one table per state, from the mask
+    E & reach(q) to the basis, a list of code strings with letter i written
+    as chr(i). Each state gets one basis per distinct mask among the
+    extents, and reads its successors' tables. Each form is the live segment
+    of its code strings, sorted into its codes; no Word is built.
     """
     states, succ, columns = context.states, context.succ, context.columns
     A = states[0].alphabet
@@ -272,42 +274,48 @@ def _forms(context: GaloisContext, extents) -> dict:
     for q in order:
         reach[q] = reduce(or_, (reach[r] for _, r in edges[q]), 1 << q)
 
-    # E holds the successors of its states, so E & reach(q) = reach(q)
-    # exactly when q lies in E: one entry per state serves every such E
-    memo = {(q, m): [""] for q, m in enumerate(reach)}
+    extents = list(extents)
+    table = [None] * len(states)
     # each word is kept once, however many bases hold it
     words = {}
 
-    def basis(E):
-        def into(p, v):
-            for c in v:
-                p = delta[p][c]
-            return E >> p & 1
+    def into(p, v, m):
+        for c in v:
+            p = delta[p][c]
+        return m >> p & 1
 
-        for q in order:
-            key = q, E & reach[q]
-            if key in memo:
+    for q in order:
+        # E holds the successors of its states, so E & reach(q) = reach(q)
+        # exactly when q lies in E
+        row = table[q] = {reach[q]: [""]}
+        for m in {E & reach[q] for E in extents}:
+            if m in row:
                 continue
+            # reach(r) lies in reach(q), so m & reach(r) = E & reach(r)
             found = [
                 c + v
                 for c, r in edges[q]
-                for v in memo[r, E & reach[r]]
-                if not into(q, v)
-                and not (lower[c] and any(into(delta[q][b], v) for b in lower[c]))
+                for v in table[r][m & reach[r]]
+                if not into(q, v, m)
+                and not (lower[c] and any(into(delta[q][b], v, m) for b in lower[c]))
             ]
-            memo[key] = [words.setdefault(w, w) for w in found]
-        return _segment(A, tuple(sorted(sorted(memo[0, E & reach[0]]), key=len)))
-
-    return {E: basis(E) for E in extents}
+            row[m] = [words.setdefault(w, w) for w in found]
+    return {
+        E: _segment(A, tuple(sorted(sorted(table[0][E & reach[0]]), key=len)))
+        for E in extents
+    }
 
 
 def _largest(masks) -> list:
-    """The masks inside no other. A mask inside another lies inside a largest
-    one, which has more bits: so, largest first, each is tested only against
-    those kept."""
+    """The masks inside no other, most bits first. A mask inside another lies
+    inside a largest one, which has more bits: so, largest first, each is
+    tested only against those kept, and kept if it is inside none."""
     kept = []
     for M in sorted(masks, key=int.bit_count, reverse=True):
-        if not any(M & K == M for K in kept):
+        for K in kept:
+            if M & K == M:
+                break
+        else:
             kept.append(M)
     return kept
 
@@ -525,11 +533,16 @@ def pointed_isometric(s1: PointedSpace, s2: PointedSpace) -> tuple[bool, dict | 
     forced = {s1.x: s2.x, s1.y: s2.y}
     candidates = {p: [forced[p]] if p in forced else s2.points for p in pts1}
     d1, d2 = s1.d, s2.d
-    mapping = find_bijection(
-        pts1,
-        candidates,
-        lambda p, q, r, s: d1[(p, r)] == d2[(q, s)] and d1[(r, p)] == d2[(s, q)],
-    )
+
+    def fits(p, q, mapping, _):
+        # every pair of assignments, p -> q with itself included, keeps both
+        # distances
+        return all(
+            d1[(p, r)] == d2[(q, s)] and d1[(r, p)] == d2[(s, q)]
+            for r, s in [(p, q), *mapping.items()]
+        )
+
+    mapping = find_bijection(pts1, candidates, fits)
     return mapping is not None, mapping
 
 

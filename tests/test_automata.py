@@ -1,6 +1,7 @@
 import random
 import sys
 from functools import reduce
+from itertools import permutations
 from operator import or_
 
 import pytest
@@ -621,6 +622,45 @@ class TestIsomorphic:
                         assert witness is None
                         non_isomorphic_pairs += 1
         assert (isomorphic_pairs, non_isomorphic_pairs) == (122, 38)
+
+    def test_witness_is_the_first_isomorphism_on_directed_systems(self):
+        # unsaturated systems, where a state's successors and predecessors
+        # differ; states are assigned in order and candidates tried in order,
+        # so the witness is the first isomorphism in that order
+        rng = random.Random(28)
+        found = 0
+        for A in (ab(), ab_ordered()):
+            for _ in range(60):
+                n = rng.randint(1, 5)
+                states = tuple(range(n))
+                edges = frozenset(
+                    (rng.randrange(n), rng.choice(A.letters), rng.randrange(n))
+                    for _ in range(rng.randint(0, 2 * n))
+                )
+                ts = TransitionSystem(A, states, edges)
+                x, y = rng.randrange(n), rng.randrange(n)
+                aut = Automaton(ts, frozenset({x}), frozenset({y}))
+                perm = rng.sample(states, n)
+                copy = Automaton(
+                    TransitionSystem(
+                        A, states, frozenset((perm[p], a, perm[q]) for p, a, q in edges)
+                    ),
+                    frozenset({perm[x]}),
+                    frozenset({perm[y]}),
+                )
+                moved = Automaton(ts, frozenset({x}), frozenset({rng.randrange(n)}))
+                for other in (copy, moved):
+                    first = next(
+                        (
+                            f
+                            for f in (dict(zip(states, image)) for image in permutations(states))
+                            if is_isomorphism(aut, other, f)
+                        ),
+                        None,
+                    )
+                    assert isomorphic(aut, other) == (first is not None, first)
+                    found += first is not None
+        assert found == 176  # of 240 pairs
 
 
 class TestArticulationStates:

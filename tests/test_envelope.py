@@ -463,11 +463,49 @@ class TestSegmentForms:
             middle: segment(ab(), "a" * 550, "b"),
         }
 
+    def test_one_pass_for_many_extents_matches_one_extent_at_a_time(self):
+        # the extents share each state's table of bases, so the form of an
+        # extent must not depend on which extents come with it, in what
+        # order, or how often
+        bases = regression_bases() + regression_bases(ab_ordered())
+        large = [segment(ab(), "a" * 6, "b" * 6), segment(abc(), "aaa", "bbb", "ccc")]
+        rng = random.Random(28)
+        for F in bases + large:
+            env = build_envelope(F)
+            context = env.context
+            extents = list(env.extent.values()) + list(context.columns)
+            alone = {E: _forms(context, [E])[E] for E in extents}
+            shuffled = rng.sample(extents, len(extents))
+            for given in (extents, extents[::-1], shuffled, shuffled + extents[::2]):
+                forms = _forms(context, given)
+                assert forms == alone, F
+                assert list(forms) == list(dict.fromkeys(given)), F
+
 
 class TestCovers:
     def test_agree_with_pairwise_inclusion(self):
         for env in regression_envelopes():
             assert env.hasse == covers_oracle(env.elements)
+
+    def test_largest_masks_are_those_inside_no_other(self):
+        rng = random.Random(28)
+        for _ in range(400):
+            width = rng.randint(1, 10)
+            masks = {rng.getrandbits(width) for _ in range(rng.randint(0, 8))}
+            # a nested chain, each mask the last with its lowest bit dropped
+            M = rng.getrandbits(width)
+            while M:
+                masks.add(M)
+                M &= M - 1
+            # masks of one popcount, none inside another
+            k = rng.randint(1, width)
+            for _ in range(rng.randint(0, 4)):
+                masks.add(sum(1 << i for i in rng.sample(range(width), k)))
+            kept = envelope._largest(masks)
+            oracle = {M for M in masks if not any(M != K and M & K == M for K in masks)}
+            assert sorted(kept) == sorted(oracle), masks
+            counts = [M.bit_count() for M in kept]
+            assert counts == sorted(counts, reverse=True), masks
 
 
 class TestDist:
