@@ -298,8 +298,7 @@ def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
     may go to the states that agree with it on initial and final membership,
     and find_bijection, run on positions, takes p -> q when the letters
     between p and each mapped state r, p itself included, are those between q
-    and the image of r: the same bits in the successor masks. Only the mapped
-    states joined to p or to q can break that, so each test reads those alone.
+    and the image of r: the same bits in the successor masks.
     """
     ts1, ts2 = aut1.system, aut2.system
     if ts1.alphabet != ts2.alphabet or len(ts1.states) != len(ts2.states):
@@ -308,26 +307,17 @@ def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
     roles1 = [(q in aut1.initial, q in aut1.final) for q in ts1.states]
     roles2 = [(q in aut2.initial, q in aut2.final) for q in ts2.states]
     rows = list(zip(ts1._successors.values(), ts2._successors.values()))
-    near1, near2 = _joined(ts1), _joined(ts2)
     order = range(len(ts1.states))
     candidates = {i: [j for j in order if roles2[j] == roles1[i]] for i in order}
 
-    def agree(p, q, r, s):
-        return all(
-            (u[p] >> r & 1) == (v[q] >> s & 1) and (u[r] >> p & 1) == (v[s] >> q & 1)
-            for u, v in rows
-        )
-
-    def fits(p, q, mapping, image):
-        if not agree(p, q, p, q):
-            return False
-        joined = near1[p]
-        for r in _bits(joined):
-            if r in mapping and not agree(p, q, r, mapping[r]):
+    def fits(p, q, mapping):
+        for u, v in rows:
+            up, vq = u[p], v[q]
+            if up >> p & 1 != vq >> q & 1:
                 return False
-        for s in _bits(near2[q]):
-            if s in image and not joined >> image[s] & 1:
-                return False
+            for r, s in mapping.items():
+                if up >> r & 1 != vq >> s & 1 or u[r] >> p & 1 != v[s] >> q & 1:
+                    return False
         return True
 
     mapping = find_bijection(order, candidates, fits)
@@ -336,28 +326,17 @@ def isomorphic(aut1: Automaton, aut2: Automaton) -> tuple[bool, dict | None]:
     return True, {ts1.states[i]: ts2.states[j] for i, j in mapping.items()}
 
 
-def _joined(ts: TransitionSystem) -> list:
-    """Per position, the mask of the other positions joined to it by some
-    letter, either way: the OR of the successor masks and its transpose."""
-    out = reduce(lambda x, y: [*map(or_, x, y)], ts._successors.values())
-    near = out[:]
-    for i, mask in enumerate(out):
-        for j in _bits(mask):
-            near[j] |= 1 << i
-    return [mask & ~(1 << i) for i, mask in enumerate(near)]
-
-
 def find_bijection(order, candidates, fits) -> dict | None:
     """Backtracking search for an injective map p -> q, q in candidates[p].
 
     Points are assigned in the given order and candidates tried in their
-    listed order; p may go to an unused q when fits(p, q, mapping, image)
-    holds, mapping being the assignments so far and image its inverse.
-    Returns the first map that assigns every point, or None. A stack of
-    candidate iterators stands in for recursion.
+    listed order; p may go to an unused q when fits(p, q, mapping) holds,
+    mapping being the assignments so far. Returns the first map that assigns
+    every point, or None. A stack of candidate iterators stands in for
+    recursion.
     """
     mapping: dict = {}
-    image: dict = {}
+    used = set()
     untried = []  # untried[i]: the candidates of order[i] not yet tried
     while len(mapping) < len(order):
         i = len(mapping)
@@ -365,15 +344,15 @@ def find_bijection(order, candidates, fits) -> dict | None:
             untried.append(iter(candidates[order[i]]))
         p = order[i]
         for q in untried[i]:
-            if q not in image and fits(p, q, mapping, image):
+            if q not in used and fits(p, q, mapping):
                 mapping[p] = q
-                image[q] = p
+                used.add(q)
                 break
         else:  # order[i] has no candidate left: undo order[i - 1]
             untried.pop()
             if not mapping:
                 return None
-            del image[mapping.popitem()[1]]
+            used.discard(mapping.popitem()[1])
     return mapping
 
 
@@ -386,7 +365,9 @@ def articulation_states(ts: TransitionSystem, x, y) -> list:
     """
     if x == y:
         return []
-    adj = _joined(ts)
+    # saturation joins i and j exactly when some letter does, either way
+    rows = zip(*_saturated(ts).values())
+    adj = [reduce(or_, outs) & ~(1 << i) for i, outs in enumerate(rows)]
     ix, iy = ts._index[x], ts._index[y]
     order = closure([ix], lambda i: _bits(adj[i]))
     if iy not in order:

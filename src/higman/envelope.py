@@ -534,7 +534,7 @@ def pointed_isometric(s1: PointedSpace, s2: PointedSpace) -> tuple[bool, dict | 
     candidates = {p: [forced[p]] if p in forced else s2.points for p in pts1}
     d1, d2 = s1.d, s2.d
 
-    def fits(p, q, mapping, _):
+    def fits(p, q, mapping):
         # every pair of assignments, p -> q with itself included, keeps both
         # distances
         return all(

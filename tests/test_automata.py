@@ -7,7 +7,7 @@ from operator import or_
 import pytest
 
 from higman import automata
-from higman.words import Word, embeds
+from higman.words import Alphabet, Word, embeds
 from higman.segments import (
     contains,
     empty_segment,
@@ -661,6 +661,15 @@ class TestIsomorphic:
                     assert isomorphic(aut, other) == (first is not None, first)
                     found += first is not None
         assert found == 176  # of 240 pairs
+
+    def test_empty_alphabet(self):
+        # with no letters, a bijection only has to keep the initial and final
+        # states
+        ts = TransitionSystem(Alphabet(()), ("x", "y"), frozenset())
+        aut = Automaton(ts, frozenset({"x"}), frozenset({"y"}))
+        swapped = Automaton(ts, frozenset({"y"}), frozenset({"x"}))
+        assert isomorphic(aut, aut) == (True, {"x": "x", "y": "y"})
+        assert isomorphic(aut, swapped) == (True, {"x": "y", "y": "x"})
 
 
 class TestArticulationStates:
