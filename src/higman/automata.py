@@ -365,9 +365,13 @@ def articulation_states(ts: TransitionSystem, x, y) -> list:
     """
     if x == y:
         return []
-    # saturation joins i and j exactly when some letter does, either way
-    rows = zip(*_saturated(ts).values())
-    adj = [reduce(or_, outs) & ~(1 << i) for i, outs in enumerate(rows)]
+    # saturation joins i and j exactly when some letter does, either way;
+    # with no letter, no state has a neighbour
+    rows = _saturated(ts).values()
+    adj = [
+        reduce(or_, (row[i] for row in rows), 0) & ~(1 << i)
+        for i in range(len(ts.states))
+    ]
     ix, iy = ts._index[x], ts._index[y]
     order = closure([ix], lambda i: _bits(adj[i]))
     if iy not in order:

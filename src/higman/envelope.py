@@ -7,13 +7,15 @@ in u^-1 F, so each residual is a set of objects, its column; an element is
 its extent, an AND of columns, and inclusion is bit inclusion. Every object is
 the quotient of some word, so distinct extents are distinct segments, and the
 segment of an extent E is {u : u^-1 F in E}, the language of minimal_dfa(F)
-with E as its accepting set; its basis is read off that automaton. The
-transition system over single letters is an acceptor of F. The distance
-between two elements is algebraic: d(P, Q) holds the words w with P.up(w)
-inside Q and Q.up(bar w) inside P. It equals the language of paths P -> Q in
-the transition system, which `higman verify` checks one row per walk and the
-tests with accepted_basis. The morphism from minimal_dfa(F) into the envelope,
-sums of pointed spaces and concatenation decomposition live here too.
+with E as its accepting set; its basis is read off that automaton. The build
+keeps the lattice on masks, and the segments, which display, export and the
+distances read, are views built on first access. The transition system over
+single letters is an acceptor of F. The distance between two elements is
+algebraic: d(P, Q) holds the words w with P.up(w) inside Q and Q.up(bar w)
+inside P. It equals the language of paths P -> Q in the transition system,
+which `higman verify` checks one row per walk and the tests with
+accepted_basis. The morphism from minimal_dfa(F) into the envelope, sums of
+pointed spaces and concatenation decomposition live here too.
 """
 
 from __future__ import annotations
@@ -72,17 +74,23 @@ class GaloisContext(namedtuple("GaloisContext", "states succ preds columns")):
 class EnvelopeLattice(Frozen):
     """The envelope as a lattice of final segments plus its transition system.
 
-    elements are closed under pairwise intersection, hold both base points
-    x = A* and y = F, and are sorted by seg_key (build_envelope is the only
-    constructor); hasse holds the covers (lower, upper). extent maps each
-    element to its bitmask and context is galois_context(y). The reflexive-
-    involutive system on the elements holds (P, a, Q) iff P.up(a) lies inside
-    Q and Q.up(bar a) inside P; its successor masks are read off the extents
-    by transition_system() on first read and kept, unless a system is given,
-    and t_f, its triples, is a view of them built on first read. y determines
-    the elements, and they the system, extent and context, which are left out
-    of equality and repr; so the hash, which dist's cache key needs, is
-    hash(y): y's identity, since segments are interned."""
+    Its core is the lattice on masks: context is galois_context(y), and
+    _below maps each extent to the extents of its lower covers; len() and
+    cover_count() count on it. elements, hasse and extent are views of it,
+    read by _read_forms on first access and kept. elements are the extents'
+    segments, closed under pairwise intersection, holding both base points
+    x = A* and y = F, and sorted by seg_key; hasse holds the covers (lower,
+    upper); extent maps each element to its mask. An envelope made by the
+    constructor is given those views, and its _below is read off them. The
+    reflexive-involutive system on the elements holds (P, a, Q) iff P.up(a)
+    lies inside Q and Q.up(bar a) inside P; its successor masks are read off
+    the extents by transition_system() on first read and kept, unless a
+    system is given, and t_f, its triples, is a view of them built on first
+    read. y determines the elements, and they the system, extent and
+    context, which are left out of equality and repr; so the hash, which
+    dist's cache key needs, is hash(y): y's identity, since segments are
+    interned, and it reads no form. Equality and repr read elements, and so
+    build the views."""
 
     _fields = ("alphabet", "elements", "x", "y", "hasse")
 
@@ -97,6 +105,9 @@ class EnvelopeLattice(Frozen):
         context: GaloisContext,
         _system: TransitionSystem | None,
     ):
+        below = {E: [] for E in extent.values()}
+        for P, Q in hasse:
+            below[extent[Q]].append(extent[P])
         vars(self).update(
             alphabet=alphabet,
             elements=elements,
@@ -106,10 +117,60 @@ class EnvelopeLattice(Frozen):
             extent=extent,
             context=context,
             _system=_system,
+            _below=below,
+        )
+
+    @classmethod
+    def _of_masks(cls, context: GaloisContext, y: FinalSegment, below: dict):
+        """The envelope of y as its lattice on masks, with no form read."""
+        env = cls.__new__(cls)
+        A = y.alphabet
+        vars(env).update(
+            alphabet=A,
+            x=full_segment(A),
+            y=y,
+            context=context,
+            _system=None,
+            _below=below,
+        )
+        return env
+
+    def __getattr__(self, name):
+        # reached only for a field not in the instance dict: a view of the
+        # masks before its first read
+        if name not in ("elements", "hasse", "extent") or "_below" not in vars(self):
+            raise AttributeError(name)
+        self._read_forms()
+        return vars(self)[name]
+
+    def _read_forms(self):
+        """Each extent's segment from _forms, sorted by seg_key, and the
+        covers mapped to segments: the elements, hasse and extent views."""
+        below = self._below
+        segment_of = _forms(self.context, below)
+        key = dict(zip(segment_of, seg_keys(segment_of.values())))
+        order = sorted(segment_of, key=key.__getitem__)
+        elements = tuple(segment_of[E] for E in order)
+        vars(self).update(
+            elements=elements,
+            hasse=frozenset(
+                (segment_of[M], segment_of[E])
+                for E, lower in below.items()
+                for M in lower
+            ),
+            extent=dict(zip(elements, order)),
         )
 
     def __hash__(self):
         return hash(self.y)
+
+    def __len__(self):
+        """The number of elements, counted on the masks."""
+        return len(self._below)
+
+    def cover_count(self) -> int:
+        """The number of covers, counted on the masks."""
+        return sum(map(len, self._below.values()))
 
     @property
     def t_f(self) -> frozenset:
@@ -162,20 +223,19 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     """The envelope of F, built on the bitmasks of galois_context(F).
 
     The extents are the columns closed under "AND with a column"; all ones is
-    x = A* and the accepting mask is y = F. Each extent E, a column included,
-    gets its segment form, which display, export and dist read, from _forms:
-    the language of minimal_dfa(F) with E as its accepting set, with no meet
-    of segments. The lower covers of an extent are the largest of its meets
-    with the columns not above it. No transition is computed here: the
-    system's successor masks are read off the extents by
-    env.transition_system() when first read, since elements, distances and
-    covers never need them. The automaton from x = A* to y = F accepts
-    exactly F; `higman verify` and the tests check that with
-    language_equals_segment.
+    x = A* and the accepting mask is y = F. The lower covers of an extent are
+    the largest of its meets with the columns not above it. The build keeps
+    the context and these covers on masks, and reads no form and no
+    transition. The elements, their covers as segment pairs and the extent
+    map are views, read on first access: each extent E gets its segment from
+    _forms, the language of minimal_dfa(F) with E as its accepting set, and
+    the elements are sorted by seg_key. The system's successor masks are
+    read off the extents by env.transition_system() when first read. The
+    automaton from x = A* to y = F accepts exactly F; `higman verify` and the
+    tests check that with language_equals_segment.
     """
     if is_empty(F):
         raise ValueError("the empty segment has no envelope")
-    A = F.alphabet
     context = galois_context(F)
     columns = context.columns
     below = {}
@@ -191,19 +251,10 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
         below[E] = _largest(meets)
         return meets
 
-    # all ones is a column: A* = F/w for any w in F
-    extents = closure(columns, meets_below)
-    segment_of = _forms(context, extents)
-    covers = frozenset(
-        (segment_of[M], segment_of[E]) for E, largest in below.items() for M in largest
-    )
-    key = dict(zip(segment_of, seg_keys(segment_of.values())))
-    order = sorted(segment_of, key=key.__getitem__)
-    ordered = tuple(segment_of[E] for E in order)
-    extent = dict(zip(ordered, order))
-    return EnvelopeLattice(
-        A, ordered, full_segment(A), F, covers, extent, context, None
-    )
+    # all ones is a column: A* = F/w for any w in F; closure visits every
+    # extent, so below holds them all
+    closure(columns, meets_below)
+    return EnvelopeLattice._of_masks(context, F, below)
 
 
 def _successor_system(env: EnvelopeLattice) -> TransitionSystem:

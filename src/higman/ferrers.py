@@ -88,9 +88,10 @@ def is_linearly_orderable(env: EnvelopeLattice) -> bool:
 
     Two incomparable elements close a cycle of covers through their meet and
     join, so a finite lattice is a chain exactly when its covers form a
-    tree: one cover fewer than elements.
+    tree: one cover fewer than elements. Both are counted on the extent
+    masks, so no element's form is read.
     """
-    return len(env.hasse) == len(env.elements) - 1
+    return env.cover_count() == len(env) - 1
 
 
 def check_ferrers_equivalence(F: FinalSegment) -> bool:

@@ -82,12 +82,13 @@ def search_minmax(F: FinalSegment, cap: int = 20):
     useful elements (see the module docstring), taken in `combinations`
     order, the order of the subsets of all positions with the rest left out;
     only those with the most transitions become automata, from the same
-    masks. cap bounds the number of envelope elements, not of useful ones.
+    masks. cap bounds the number of envelope elements, not of useful ones,
+    and is tested on the extent masks before any element's form is read.
     """
     if is_empty(F):
         raise ValueError("no automaton accepts the empty segment")
     env = build_envelope(F)
-    n = len(env.elements)
+    n = len(env)
     if n > cap:
         raise CapExceeded(f"envelope has {n} elements, cap is {cap}")
     ts = env.transition_system()

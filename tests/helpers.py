@@ -1,5 +1,6 @@
 """Shared alphabets, the regression family, an independent transition rule,
-the package's caches, and a child process under another hash seed."""
+the package's caches, a call-counting spy, and a child process under another
+hash seed."""
 
 import importlib
 import os
@@ -141,6 +142,19 @@ def package_caches() -> dict:
 def clear_caches() -> None:
     for cache in package_caches().values():
         cache.cache_clear()
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that logs each call's arguments in
+    the returned list and then calls the original."""
+    original, calls = getattr(module, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def output_under_another_hash_seed(script: str) -> bytes:

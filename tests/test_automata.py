@@ -701,6 +701,11 @@ class TestArticulationStates:
         with pytest.raises(ValueError):
             articulation_states(ts, "x", "y")
 
+    def test_no_letter_leaves_the_endpoints_unconnected(self):
+        ts = TransitionSystem(Alphabet(()), ("x", "y"), frozenset())
+        with pytest.raises(ValueError, match="not connected"):
+            articulation_states(ts, "x", "y")
+
     def test_ordering_by_distance(self):
         A = ab()
         # x - u - v - y path

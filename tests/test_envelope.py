@@ -18,6 +18,7 @@ from higman.segments import (
     intersect,
     involute_seg,
     right_residual,
+    seg_key,
     segment,
     subset_of,
 )
@@ -58,6 +59,7 @@ from helpers import (
     ab_ordered,
     abc,
     abc_primed,
+    count_calls,
     output_under_another_hash_seed,
     regression_bases,
     regression_envelopes,
@@ -313,19 +315,6 @@ sys.stdout.buffer.write(pickle.dumps(env))
 """
 
 
-def count_calls(monkeypatch, module, name) -> list:
-    """Replace module.name by a wrapper that logs each call's arguments in
-    the returned list and then calls the original."""
-    original, calls = getattr(module, name), []
-
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, spy)
-    return calls
-
-
 class TestSystemView:
     def test_no_row_is_built_unless_read(self, monkeypatch, tmp_path, capsys):
         build_envelope.cache_clear()
@@ -348,6 +337,91 @@ class TestSystemView:
         assert env.transition_system() is ts
         assert env.automaton().system is ts and env.t_f is ts.transitions
         assert calls == [(env,)]
+
+
+def eager_views(F):
+    """elements, hasse and extent of F's envelope, read eagerly: every AND
+    of columns gets its form, the forms are sorted by seg_key, and the
+    covers of E are the largest extents strictly inside it, found among all
+    the extents rather than the column meets."""
+    context = galois_context(F)
+    extents = fresh = set(context.columns)
+    while fresh:
+        fresh = {E & C for E in fresh for C in context.columns} - extents
+        extents = extents | fresh
+    form = _forms(context, extents)
+    hasse = set()
+    for E in extents:
+        inside = [M for M in extents if M & E == M != E]
+        inside.sort(key=int.bit_count, reverse=True)
+        largest = []
+        for M in inside:
+            if not any(M & K == M for K in largest):
+                largest.append(M)
+        hasse |= {(form[M], form[E]) for M in largest}
+    elements = tuple(sorted(form.values(), key=seg_key))
+    return elements, frozenset(hasse), {form[E]: E for E in extents}
+
+
+class TestFormsView:
+    # the build keeps the lattice on masks; elements, hasse and extent are
+    # read by _forms on first access, all three at once, and kept
+    def test_views_equal_an_eager_reading(self):
+        for F in regression_segments() + [segment(abc(), "aaa", "bbb", "ccc")]:
+            env = build_envelope.__wrapped__(F)
+            assert "elements" not in vars(env)
+            elements, hasse, extent = eager_views(F)
+            assert env.elements == elements, F
+            assert env.hasse == hasse, F
+            assert env.extent == extent and list(env.extent) == list(elements), F
+
+    def test_no_form_for_the_build_the_hash_or_the_count(self, monkeypatch):
+        calls = count_calls(monkeypatch, envelope, "_forms")
+        build_envelope.cache_clear()
+        for F, count in (
+            (segment(ab(), "aaa", "bbb"), 20),
+            (segment(abc(), "aaa", "bbb", "ccc"), 980),
+        ):
+            env = build_envelope(F)
+            assert hash(env) == hash(F) and env.x == full_segment(F.alphabet)
+            assert len(env) == count
+        assert calls == []
+        elements = env.elements
+        assert env.hasse and env.extent and env.elements is elements
+        assert calls == [(env.context, env._below)]
+
+    def test_unread_envelope_compares_hashes_prints_and_pickles(self):
+        F = segment(ab(), "aaa", "bbb")
+        read = build_envelope.__wrapped__(F)
+        text = repr(read)
+        unread = build_envelope.__wrapped__(F)
+        again = pickle.loads(pickle.dumps(unread))
+        assert "elements" not in vars(again) and "elements" not in vars(unread)
+        assert hash(again) == hash(unread) == hash(F)
+        assert again == unread == read
+        assert again.elements == read.elements and again.hasse == read.hasse
+        assert again.extent == read.extent
+        assert repr(build_envelope.__wrapped__(F)) == text
+
+    @pytest.mark.parametrize("n, count", [(8, 12_870), (9, 48_620)])
+    def test_element_count_of_large_squares_from_masks(self, monkeypatch, n, count):
+        # C(2n, n) extents, counted with no form read
+        calls = count_calls(monkeypatch, envelope, "_forms")
+        env = build_envelope.__wrapped__(segment(ab(), "a" * n, "b" * n))
+        assert len(env) == comb(2 * n, n) == count
+        assert calls == []
+
+    def test_an_envelope_given_its_views_has_their_masks(self):
+        for env in regression_envelopes():
+            given = EnvelopeLattice(
+                env.alphabet, env.elements, env.x, env.y, env.hasse, env.extent,
+                env.context, None,
+            )
+            assert given == env
+            assert (len(given), given.cover_count()) == (len(env), env.cover_count())
+            assert {E: set(M) for E, M in given._below.items()} == {
+                E: set(M) for E, M in env._below.items()
+            }
 
 
 class TestExtents:

@@ -15,6 +15,7 @@ from higman.segments import (
     segment,
 )
 from higman.automata import Dfa, complement, dfa_accepts, minimal_dfa
+from higman import envelope
 from higman.envelope import build_envelope
 from higman.ferrers import (
     check_ferrers_equivalence,
@@ -29,6 +30,7 @@ from helpers import (
     ab_ordered,
     abc,
     abc_primed,
+    count_calls,
     nonempty_words,
     regression_bases,
     regression_envelopes,
@@ -264,6 +266,25 @@ class TestLinearlyOrderable:
             verdicts.append(is_linearly_orderable(env))
             assert verdicts[-1] == is_chain_oracle(env.elements)
         assert True in verdicts and False in verdicts
+
+    def test_counts_on_masks_agree_with_counts_on_forms(self, monkeypatch):
+        # the verdict is read on the extent masks, before any form, and
+        # equals one cover fewer than elements counted on the forms
+        calls = count_calls(monkeypatch, envelope, "_forms")
+        for F in regression_bases() + regression_bases(ab_ordered()):
+            env = build_envelope.__wrapped__(F)
+            verdict = is_linearly_orderable(env)
+            assert calls == []
+            assert verdict == (len(env.hasse) == len(env.elements) - 1), F
+            calls.clear()
+
+    def test_equivalence_check_reads_no_envelope_form(self, monkeypatch):
+        calls = count_calls(monkeypatch, envelope, "_forms")
+        build_envelope.cache_clear()
+        for F in (segment(ab(), "ab"), segment(ab(), "a" * 6, "b" * 6)):
+            check_ferrers_equivalence(F)
+            assert "elements" not in vars(build_envelope(F))
+        assert calls == []
 
 
 class TestCheckEquivalence:

@@ -1,5 +1,6 @@
 """Minmax search, the minmax predicate, and the non-isomorphic pair."""
 
+import json
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,8 @@ from higman.automata import (
     language_equals_segment,
     saturate,
 )
+from higman import envelope
+from higman.cli import main
 from higman.envelope import build_envelope
 from higman.minmax import (
     CapExceeded,
@@ -30,7 +33,7 @@ from higman.minmax_pair import (
     automaton_two,
     language,
 )
-from helpers import ab, induced, regression_envelopes
+from helpers import ab, count_calls, induced, regression_envelopes, spec_document
 from oracles import isomorphic_oracle, member, words_upto
 
 
@@ -157,6 +160,20 @@ class TestSearchMinmax:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             search_minmax(segment(ab(), "aa", "bb"), cap=3)
+
+    def test_cap_is_tested_before_any_form(self, monkeypatch, tmp_path, capsys):
+        # {a⁹,b⁹} has 48,620 elements: the search and the command line stop
+        # after the mask build, with no form read
+        calls = count_calls(monkeypatch, envelope, "_forms")
+        F = segment(ab(), "a" * 9, "b" * 9)
+        with pytest.raises(CapExceeded, match="48620 elements"):
+            search_minmax(F, cap=20)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_document(F)), encoding="utf-8")
+        assert main(["minmax", str(spec), "--cap", "20"]) == 3
+        assert "cap exceeded" in capsys.readouterr().err
+        assert calls == []
+        build_envelope.cache_clear()
 
     @pytest.mark.parametrize("text", ["ab", "aba"])
     def test_chain_needs_every_level(self, text):

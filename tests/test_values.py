@@ -86,7 +86,11 @@ def value_cases() -> list[dict]:
             cls=EnvelopeLattice,
             args=env_args,
             differ=dict(elements=env.elements[::-1], y=env.x, hasse=frozenset()),
-            same=dict(extent={}, context=None, _system=None),
+            same=dict(
+                extent={P: 2 * E for P, E in env.extent.items()},
+                context=None,
+                _system=None,
+            ),
             hash=hash(env.y),
             repr=f"EnvelopeLattice(alphabet={A!r}, elements={env.elements!r}, "
             f"x={env.x!r}, y={env.y!r}, hasse={env.hasse!r})",
