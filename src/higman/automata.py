@@ -5,10 +5,11 @@ under involution-reversal and letter up-closure); saturated systems accept
 up-closed languages, whose finite bases are extracted by shortest-word search.
 A system is stored as one successor mask per (letter, position), and every
 walk reads them: state sets are bitmasks over the positions of its states.
-The minimal deterministic automaton of a final segment is its left-residual
-closure. closure(), shortest_word() and find_bijection() are the machine
-layer's one reachability walk, shortest-word search and backtracking matcher,
-and _first_difference its one comparison of languages with final segments.
+The minimal automaton of a final segment F has the left quotients u^-1 F as
+states, which _quotients walks once, on code strings. closure(),
+shortest_word() and find_bijection() are the machine layer's one
+reachability walk, shortest-word search and backtracking matcher, and
+_first_difference its one comparison of languages with final segments.
 """
 
 from __future__ import annotations
@@ -17,8 +18,16 @@ from collections import deque
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 
-from .words import MEMO_SIZE, Alphabet, Frozen, Value, Word
-from .segments import FinalSegment, _left_residual, canonicalize, empty_segment, is_full
+from .words import MEMO_SIZE, Alphabet, Frozen, Value, Word, _minimal
+from .segments import (
+    FinalSegment,
+    _left_residual,
+    _ordered,
+    _segment,
+    canonicalize,
+    empty_segment,
+    is_full,
+)
 
 
 class TransitionSystem(Frozen):
@@ -92,8 +101,8 @@ class Dfa(Value):
     """Total deterministic automaton; states are arbitrary hashable labels.
 
     minimal_dfa() instantiates it with FinalSegment states (the left
-    residuals), accepting exactly at A*. It is mutable and unhashable;
-    equality compares every field, and the repr leaves delta out.
+    quotients from _quotients), accepting exactly at A*. It is mutable and
+    unhashable; equality compares every field, and the repr leaves delta out.
     """
 
     _fields = ("alphabet", "states", "start", "accepting", "delta")
@@ -215,18 +224,48 @@ def accepts(aut: Automaton, w: Word) -> bool:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def minimal_dfa(F: FinalSegment) -> Dfa:
-    """Left-residual closure of F; start F, accepting exactly A*.
+def _quotient(leq, codes: tuple, c: str) -> tuple:
+    """The codes of c^-1 L from those of L, under the code order leq: each
+    word drops its first letter if that is at most c; the minimal ones are
+    sorted. A dropped word embeds in its source, so no basis holds both: if
+    every word is one of L's, none dropped, and L is its own quotient."""
+    below = {c} if leq is None else {b for b, d in leq if d == c}
+    cut = {u[1:] if u[:1] in below else u for u in codes}
+    return codes if cut.issubset(codes) else _ordered(_minimal(leq, cut))
 
-    A residual accepts the empty word iff it equals A*, so acceptance is the
+
+def _quotients(F: FinalSegment) -> tuple[tuple, list]:
+    """F's left quotients, breadth-first in letter order, and rows[i][x], the
+    position of the i-th's quotient by letter x: the one walk of F's minimal
+    automaton, on code strings, with each quotient's segment made at the end."""
+    A, leq = F.alphabet, F.alphabet._code_order
+    letters = [chr(x) for x in range(len(A.letters))]
+    codes, index, rows = [F.codes], {F.codes: 0}, []
+    for L in codes:  # the list grows while it is read: a FIFO queue
+        row = []
+        for c in letters:
+            M = _quotient(leq, L, c)
+            row.append(index.setdefault(M, len(codes)))
+            if row[-1] == len(codes):
+                codes.append(M)
+        rows.append(row)
+    return tuple(_segment(A, L) for L in codes), rows
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def minimal_dfa(F: FinalSegment) -> Dfa:
+    """F's left quotients, read off _quotients; start F, accepting exactly A*.
+
+    A quotient accepts the empty word iff it equals A*, so acceptance is the
     is_full test. The empty segment yields the one-state rejecting automaton.
     """
     A = F.alphabet
-    letters = [(a, chr(i)) for i, a in enumerate(A.letters)]
-    states = closure([F], lambda G: [_left_residual(c, G) for _, c in letters])
-    delta = {(G, a): _left_residual(c, G) for G in states for a, c in letters}
+    states, rows = _quotients(F)
+    delta = {
+        (G, a): states[j] for G, row in zip(states, rows) for a, j in zip(A.letters, row)
+    }
     accepting = frozenset(G for G in states if is_full(G))
-    return Dfa(A, tuple(states), F, accepting, delta)
+    return Dfa(A, states, F, accepting, delta)
 
 
 def dfa_accepts(dfa: Dfa, w: Word) -> bool:

@@ -1,21 +1,22 @@
 """Injective envelope of the two-point space {x, y} with d(x, y) = F.
 
-The envelope S_F is the concept lattice of a Galois context read off
-minimal_dfa(F). Its objects are the states of that automaton, the left
-quotients u^-1 F. A word u lies in the right residual F/w exactly when w lies
-in u^-1 F, so each residual is a set of objects, its column; an element is
-its extent, an AND of columns, and inclusion is bit inclusion. Every object is
-the quotient of some word, so distinct extents are distinct segments, and the
-segment of an extent E is {u : u^-1 F in E}, the language of minimal_dfa(F)
-with E as its accepting set; its basis is read off that automaton. The build
-keeps the lattice on masks, and the segments, which display, export and the
-distances read, are views built on first access. The transition system over
-single letters is an acceptor of F. The distance between two elements is
-algebraic: d(P, Q) holds the words w with P.up(w) inside Q and Q.up(bar w)
-inside P. It equals the language of paths P -> Q in the transition system,
-which `higman verify` checks one row per walk and the tests with
-accepted_basis. The morphism from minimal_dfa(F) into the envelope, sums of
-pointed spaces and concatenation decomposition live here too.
+The envelope S_F is the concept lattice of a Galois context whose objects
+are the left quotients u^-1 F, the states of F's minimal automaton, walked
+once on code strings by automata._quotients. A word u lies in the right
+residual F/w exactly when w lies in u^-1 F, so each residual is a set of
+objects, its column; an element is its extent, an AND of columns, and
+inclusion is bit inclusion. Every object is the quotient of some word, so
+distinct extents are distinct segments, and the segment of an extent E is
+{u : u^-1 F in E}, the language of that automaton with E as its accepting
+set. The build keeps the lattice on masks; the segments, which display,
+export and the distances read, are views built on first access. The
+transition system over single letters is an acceptor of F. The distance
+between two elements is algebraic: d(P, Q) holds the words w with P.up(w)
+inside Q and Q.up(bar w) inside P. It equals the language of paths P -> Q in
+the transition system, which `higman verify` checks one row per walk and the
+tests with accepted_basis. The morphism from minimal_dfa(F) into the
+envelope, sums of pointed spaces and concatenation decomposition live here
+too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .segments import (
     FinalSegment,
     _in,
     _left_residual,
-    _segment,
+    _sorted,
     concat_seg,
     full_segment,
     intersect,
@@ -43,22 +44,23 @@ from .automata import (
     Automaton,
     TransitionSystem,
     _image,
+    _quotients,
     articulation_states,
     closure,
     find_bijection,
-    minimal_dfa,
 )
 
 
 class GaloisContext(namedtuple("GaloisContext", "states succ preds columns")):
-    """The Galois context of F on the states of minimal_dfa(F), the left
-    quotients u^-1 F, numbered by position. succ[a][i] is the position of
-    delta(states[i], a); preds[a][j] is the mask of the i with succ[a][i] = j.
-    columns holds the column of each right residual F/w, the mask of the
-    quotients holding w, in breadth-first order from the accepting mask, the
-    column of F = F/ε. Every quotient is reached, so distinct residuals have
-    distinct columns and inclusion of residuals is inclusion of columns;
-    _forms reads a column's residual back as the segment of its mask."""
+    """The Galois context of F on its left quotients u^-1 F, the states of
+    its minimal automaton, numbered breadth-first from F as in minimal_dfa(F).
+    succ[a][i] is the position of a^-1 states[i], and preds[a][j] the mask of
+    the i with succ[a][i] = j; both come from automata._quotients. columns
+    holds the column of each right residual F/w, the mask of the quotients
+    holding w, in breadth-first order from the accepting mask, the column of
+    F = F/ε. Every quotient is reached, so distinct residuals have distinct
+    columns and inclusion of residuals is inclusion of columns; _forms reads
+    a column's residual back as the segment of its mask."""
 
     __slots__ = ()
 
@@ -188,19 +190,20 @@ class EnvelopeLattice(Frozen):
 
 
 def galois_context(F: FinalSegment) -> GaloisContext:
-    """The Galois context of F on the states of minimal_dfa(F). Its columns
-    are the closure of the accepting mask under pre, breadth-first by single
-    letters: the column of F/(aw) = (F/w)/a is pre_a of the column of F/w,
-    since a quotient holds aw exactly when its a-successor holds w."""
+    """The Galois context of F on its left quotients, with succ and preds
+    read off the rows of automata._quotients. Its columns are the closure of
+    the accepting mask under pre, breadth-first by single letters: the column
+    of F/(aw) = (F/w)/a is pre_a of the column of F/w, since a quotient holds
+    aw exactly when its a-successor holds w."""
     A = F.alphabet
-    dfa = minimal_dfa(F)
-    index = {L: i for i, L in enumerate(dfa.states)}
-    succ = {a: tuple(index[dfa.delta[L, a]] for L in dfa.states) for a in A.letters}
-    preds = {a: [0] * len(index) for a in A.letters}
-    for (L, a), L2 in dfa.delta.items():
-        preds[a][index[L2]] |= 1 << index[L]
-    context = GaloisContext(dfa.states, succ, preds, ())
-    accepting = sum(1 << index[L] for L in dfa.accepting)
+    states, rows = _quotients(F)
+    succ = dict(zip(A.letters, zip(*rows)))
+    preds = {a: [0] * len(states) for a in A.letters}
+    for a, row in succ.items():
+        for i, j in enumerate(row):
+            preds[a][j] |= 1 << i
+    context = GaloisContext(states, succ, preds, ())
+    accepting = sum(1 << i for i, L in enumerate(states) if is_full(L))
     columns = closure([accepting], lambda E: [context.pre(a, E) for a in A.letters])
     return context._replace(columns=tuple(columns))
 
@@ -226,11 +229,8 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     x = A* and the accepting mask is y = F. The lower covers of an extent are
     the largest of its meets with the columns not above it. The build keeps
     the context and these covers on masks, and reads no form and no
-    transition. The elements, their covers as segment pairs and the extent
-    map are views, read on first access: each extent E gets its segment from
-    _forms, the language of minimal_dfa(F) with E as its accepting set, and
-    the elements are sorted by seg_key. The system's successor masks are
-    read off the extents by env.transition_system() when first read. The
+    transition: the elements, covers and extent map, and the system's
+    successor masks, are views of the masks (see EnvelopeLattice). The
     automaton from x = A* to y = F accepts exactly F; `higman verify` and the
     tests check that with language_equals_segment.
     """
@@ -287,7 +287,7 @@ def _successor_system(env: EnvelopeLattice) -> TransitionSystem:
 
 def _forms(context: GaloisContext, extents) -> dict:
     """{E: the final segment {u : delta(F, u) in E}} for the given masks, in
-    their order, each read off minimal_dfa(F) with E as its accepting set.
+    their order, each read off the context's automaton with E accepting.
     This is the package's one reader from a mask to its segment: an extent
     gets its element, and a column C gets its residual F/w, since u lies in
     F/w exactly when delta(F, u) holds w, that is, lies in C.
@@ -352,7 +352,7 @@ def _forms(context: GaloisContext, extents) -> dict:
             ]
             row[m] = [words.setdefault(w, w) for w in found]
     return {
-        E: _segment(A, tuple(sorted(sorted(table[0][E & reach[0]]), key=len)))
+        E: _sorted(A, table[0][E & reach[0]])
         for E in extents
     }
 
@@ -379,27 +379,37 @@ def min_dfa_morphism(F: FinalSegment, env: EnvelopeLattice | None = None) -> dic
     It is the intersection of the right residuals of F by the words of L.
     The map sends the start state F to x = A*, the accepting state A* to
     y = F, and every transition (L, a, a^-1 L) to a transition of env; all
-    three are checked here.
+    three are checked here. _forms reads only the images' forms, so the
+    element views are not built. An image edge (P, a, Q) is tested against
+    the system the envelope holds, given or read before, or else on the
+    masks, with no system built: E_P ⊆ pre_a(E_Q), that is
+    delta_a(E_P) ⊆ E_Q, and E_Q ⊆ pre_{bar a}(E_P).
     """
     if is_empty(F):
         raise ValueError("no morphism for the empty segment")
     env = build_envelope(F) if env is None else env
     if env.y != F:
         raise ValueError("the envelope was built for another segment")
-    context, ts = env.context, env.transition_system()
-    element = {E: P for P, E in env.extent.items()}
-    image = {}
+    A, context, ts = F.alphabet, env.context, env._system
+    objects = []
     for i, L in enumerate(context.states):
         M = reduce(and_, (C for C in context.columns if C >> i & 1))
-        if M not in element:
+        if M not in env._below:
             raise RuntimeError(f"morphism image of {L!r} is not an envelope element")
-        image[L] = element[M]
-    if image[F] != env.x or image[full_segment(F.alphabet)] != env.y:
+        objects.append(M)
+    form = _forms(context, objects)
+    image = {L: form[M] for L, M in zip(context.states, objects)}
+    if image[F] != env.x or image[full_segment(A)] != env.y:
         raise RuntimeError("morphism does not send start to x and accepting to y")
-    at = [ts._index[image[L]] for L in context.states]
+    at = None if ts is None else [ts._index[image[L]] for L in context.states]
     for a, row in context.succ.items():
         for i, j in enumerate(row):
-            if not ts._successors[a][at[i]] >> at[j] & 1:
+            if ts is None:
+                P, Q = objects[i], objects[j]
+                found = not (P & ~context.pre(a, Q) or Q & ~context.pre(A.bar(a), P))
+            else:
+                found = ts._successors[a][at[i]] >> at[j] & 1
+            if not found:
                 raise RuntimeError("morphism transition missing from envelope system")
     return image
 

@@ -87,10 +87,15 @@ def _segment(A: Alphabet, codes: tuple[str, ...]) -> FinalSegment:
     return F
 
 
+def _ordered(strings) -> tuple[str, ...]:
+    """Distinct code strings in (length, string) order, a basis's codes."""
+    return tuple(sorted(sorted(strings), key=len))
+
+
 def _sorted(A: Alphabet, antichain) -> FinalSegment:
     """The segment whose basis is an antichain of distinct code strings, put
     in (length, string) order."""
-    return _segment(A, tuple(sorted(sorted(antichain), key=len)))
+    return _segment(A, _ordered(antichain))
 
 
 def _canonical(A: Alphabet, strings) -> FinalSegment:

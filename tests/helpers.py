@@ -1,6 +1,6 @@
 """Shared alphabets, the regression family, an independent transition rule,
-the package's caches, a call-counting spy, and a child process under another
-hash seed."""
+a segment-level quotient closure, the package's caches, a call-counting spy,
+and a child process under another hash seed."""
 
 import importlib
 import os
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import higman
 from higman.words import Alphabet, Word, concat, embeds, sort_key
-from higman.segments import FinalSegment, canonicalize, contains
+from higman.segments import FinalSegment, canonicalize, contains, left_residual
 from higman.automata import Automaton, TransitionSystem
 from higman.envelope import build_envelope
 
@@ -112,6 +112,21 @@ def tf_system(A: Alphabet, elements) -> TransitionSystem:
                 if times_letter_in(P, a, Q) and times_letter_in(Q, A.bar(a), P):
                     trans.add((P, a, Q))
     return TransitionSystem(A, tuple(elements), frozenset(trans))
+
+
+def quotient_closure(F: FinalSegment) -> tuple[list, dict]:
+    """F's left quotients by single letters through the public
+    left_residual, closed breadth-first in letter order, and the map
+    (L, a) -> a^-1 L: the minimal automaton of F on segments, for checking
+    the package's own walk of it."""
+    A = F.alphabet
+    states, delta = [F], {}
+    for L in states:
+        for a in A.letters:
+            M = delta[L, a] = left_residual(Word(A, (a,)), L)
+            if M not in states:
+                states.append(M)
+    return states, delta
 
 
 def induced(env, subset: frozenset) -> Automaton:

@@ -6,7 +6,7 @@ from operator import or_
 
 import pytest
 
-from higman import automata
+from higman import automata, envelope
 from higman.words import Alphabet, Word, embeds
 from higman.segments import (
     contains,
@@ -38,9 +38,11 @@ from helpers import (
     ab,
     ab_ordered,
     abc_primed,
+    count_calls,
     nonempty_words,
     regression_bases,
     regression_envelopes,
+    regression_segments,
     tf_system,
     times_letter_in,
 )
@@ -523,6 +525,32 @@ class TestMinDfaMorphism:
             )
             with pytest.raises(RuntimeError, match="morphism transition missing"):
                 min_dfa_morphism(F, broken)
+
+    def test_image_edges_are_tested_on_masks(self, monkeypatch):
+        # with no system in the envelope, each image edge is tested on the
+        # masks and none is built, nor the element views; with a system,
+        # against it, to the same map
+        calls = count_calls(monkeypatch, envelope, "_successor_system")
+        for built, F in enumerate(regression_segments()):
+            env = build_envelope.__wrapped__(F)
+            image = min_dfa_morphism(F, env)
+            assert len(calls) == built and env._system is None
+            assert "elements" not in vars(env)
+            assert set(image.values()) <= set(env.elements)
+            env.transition_system()
+            assert min_dfa_morphism(F, env) == image
+
+    def test_missing_mask_transition_is_caught(self):
+        # predecessor masks that lose every bit put no image edge's source
+        # inside pre_a of its target; the check must refuse them
+        A = ab()
+        F = segment(A, "aa", "bb")
+        env = build_envelope.__wrapped__(F)
+        preds = {a: [0] * len(row) for a, row in env.context.preds.items()}
+        lost = env.context._replace(preds=preds)
+        broken = EnvelopeLattice._of_masks(lost, F, env._below)
+        with pytest.raises(RuntimeError, match="morphism transition missing"):
+            min_dfa_morphism(F, broken)
 
     def test_verifies_on_samples(self):
         for A in (ab(), ab_ordered(), abc_primed()):

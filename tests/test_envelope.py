@@ -29,7 +29,6 @@ from higman.automata import (
     articulation_states,
     is_reflexive_involutive,
     language_equals_segment,
-    minimal_dfa,
 )
 from higman.envelope import (
     EnvelopeLattice,
@@ -50,7 +49,8 @@ from higman.envelope import (
     residual_closure,
     verify_sum_theorem,
 )
-from higman import envelope
+from higman import automata, envelope
+from higman.ferrers import is_ferrers_segment
 from higman.cli import main
 from higman.minmax import search_minmax
 
@@ -61,6 +61,7 @@ from helpers import (
     abc_primed,
     count_calls,
     output_under_another_hash_seed,
+    quotient_closure,
     regression_bases,
     regression_envelopes,
     regression_segments,
@@ -260,6 +261,25 @@ class TestBuildEnvelope:
         for F in (segment(ab(), "aaa", "bbb"), segment(abc_primed(), "a[b']", "ba")):
             env = build_envelope.__wrapped__(F)
             assert env.y is F and env.elements[0] == full_segment(F.alphabet)
+
+    def test_build_walks_the_quotients_once(self, monkeypatch):
+        # the context comes from the walk on code strings: no minimal_dfa
+        # and no segment residual, in the build or in the two readers of
+        # the columns, with the walk's memo cold
+        def refuse(*args):
+            raise AssertionError("called by the build")
+
+        for name, module in list(sys.modules.items()):
+            if name == "higman" or name.startswith("higman."):
+                for attr in ("minimal_dfa", "_left_residual"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        automata._quotient.cache_clear()
+        for F in (segment(ab(), "aaa", "bbb"), segment(ab_ordered(), "ab", "bba")):
+            env = build_envelope.__wrapped__(F)
+            assert env.y is F and len(env.elements) == len(env)
+            residual_closure(F)
+            is_ferrers_segment(F)
 
     def test_acceptor_language_past_the_regression_sizes(self):
         for F in (
@@ -461,16 +481,41 @@ class TestExtents:
         # pre reads a dense mask through its complement; both ways must give
         # the preimage under the successor table
         for env in regression_envelopes():
-            context, dfa = env.context, minimal_dfa(env.y)
-            assert context.states == dfa.states
+            context = env.context
             masks = set(context.columns) | set(env.extent.values())
             for a, row in context.succ.items():
-                assert [dfa.states[j] for j in row] == [
-                    dfa.delta[L, a] for L in dfa.states
-                ]
                 for E in masks | {~E & ((1 << len(row)) - 1) for E in masks}:
                     want = sum(1 << i for i, j in enumerate(row) if E >> j & 1)
                     assert context.pre(a, E) == want
+        # state i is F's left quotient by the breadth-first word that reaches
+        # it, by the oracle's membership on every short word, and no two
+        # states agree on them; succ is the closure by left_residual
+        main = segment(abc_primed(), "ab", "ac", "ba", "bc", "ca", "cb")
+        specs = regression_segments() + regression_bases(ab_ordered())
+        specs += [segment(abc(), "aa", "bb", "cc"), main]
+        for F in [*dict.fromkeys(specs), empty_segment(ab()), full_segment(ab())]:
+            A, context = F.alphabet, galois_context(F)
+            states, delta = quotient_closure(F)
+            assert context.states == tuple(states)
+            for a, row in context.succ.items():
+                assert [states[j] for j in row] == [delta[L, a] for L in states]
+            path, order = {0: ()}, [0]
+            for i in order:
+                for a in A.letters:
+                    j = context.succ[a][i]
+                    if j not in path:
+                        path[j] = path[i] + (a,)
+                        order.append(j)
+            assert order == list(range(len(context.states)))
+            words = words_upto(A, 4 if len(A.letters) == 6 else 5)
+            profiles = set()
+            for i, L in enumerate(context.states):
+                profile = [member(L.basis, w) for w in words]
+                assert profile == [
+                    member(F.basis, Word(A, path[i] + w.symbols)) for w in words
+                ], (F, i)
+                profiles.add(tuple(profile))
+            assert len(profiles) == len(context.states), F
 
     def test_bit_inclusion_is_segment_inclusion(self):
         for env in regression_envelopes():
@@ -482,7 +527,7 @@ class TestExtents:
 
 
 class TestSegmentForms:
-    # each element is read off minimal_dfa(F) with its extent as the
+    # each element is read off F's quotient automaton with its extent as the
     # accepting set; by definition it is the meet of the residuals F/w whose
     # columns hold its extent. The residuals come from a walk of their own:
     # F/(aw) = (F/w)/a, breadth-first in letter order, and the column of F/w
