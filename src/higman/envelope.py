@@ -8,21 +8,21 @@ objects, its column; an element is its extent, an AND of columns, and
 inclusion is bit inclusion. Every object is the quotient of some word, so
 distinct extents are distinct segments, and the segment of an extent E is
 {u : u^-1 F in E}, the language of that automaton with E as its accepting
-set. The build keeps the lattice on masks; the segments, which display,
-export and the distances read, are views built on first access. The
-transition system over single letters is an acceptor of F. The distance
-between two elements is algebraic: d(P, Q) holds the words w with P.up(w)
-inside Q and Q.up(bar w) inside P. It equals the language of paths P -> Q in
-the transition system, which `higman verify` checks one row per walk and the
-tests with accepted_basis. The morphism from minimal_dfa(F) into the
-envelope, sums of pointed spaces and concatenation decomposition live here
-too.
+set. The build keeps the set of extents on masks; the covers, and the
+segments that display, export and the distances read, are views built on
+first access. The transition system over single letters is an acceptor of
+F. The distance between two elements is algebraic: d(P, Q) holds the words
+w with P.up(w) inside Q and Q.up(bar w) inside P. It equals the language of
+paths P -> Q in the transition system, which `higman verify` checks one row
+per walk and the tests with accepted_basis. The morphism from minimal_dfa(F)
+into the envelope, sums of pointed spaces and concatenation decomposition
+live here too.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 
 from .words import Alphabet, Frozen, Value, _decode
@@ -76,23 +76,23 @@ class GaloisContext(namedtuple("GaloisContext", "states succ preds columns")):
 class EnvelopeLattice(Frozen):
     """The envelope as a lattice of final segments plus its transition system.
 
-    Its core is the lattice on masks: context is galois_context(y), and
-    _below maps each extent to the extents of its lower covers; len() and
-    cover_count() count on it. elements, hasse and extent are views of it,
-    read by _read_forms on first access and kept. elements are the extents'
-    segments, closed under pairwise intersection, holding both base points
-    x = A* and y = F, and sorted by seg_key; hasse holds the covers (lower,
-    upper); extent maps each element to its mask. An envelope made by the
-    constructor is given those views, and its _below is read off them. The
-    reflexive-involutive system on the elements holds (P, a, Q) iff P.up(a)
-    lies inside Q and Q.up(bar a) inside P; its successor masks are read off
-    the extents by transition_system() on first read and kept, unless a
-    system is given, and t_f, its triples, is a view of them built on first
-    read. y determines the elements, and they the system, extent and
-    context, which are left out of equality and repr; so the hash, which
-    dist's cache key needs, is hash(y): y's identity, since segments are
-    interned, and it reads no form. Equality and repr read elements, and so
-    build the views."""
+    Its core is the set of extents on masks: context is galois_context(y),
+    and _extents the ANDs of its columns; len() counts them. Every other
+    field is a view of that core, built on first read and kept: extent maps
+    each element to its mask, in seg_key order, and elements are its keys,
+    the extents' segments, closed under pairwise intersection and holding
+    both base points x = A* and y = F; _below maps each extent to its lower
+    covers, which cover_count() counts on the masks, and hasse holds them as
+    pairs (lower, upper) of elements. The reflexive-involutive system on the
+    elements holds (P, a, Q) iff P.up(a) lies inside Q and Q.up(bar a) inside
+    P; transition_system() reads its successor masks off the extents, and
+    t_f, its triples, is a view of them. An envelope made by the constructor
+    is given elements, hasse and extent, which shadow the views. y
+    determines the elements, and they the system, extent and context, which
+    are left out of equality and repr; so the hash, which dist's cache key
+    needs, is hash(y): y's identity, since segments are interned, and it
+    reads no form. Equality and repr read elements and hasse, and so build
+    the forms and the covers."""
 
     _fields = ("alphabet", "elements", "x", "y", "hasse")
 
@@ -105,11 +105,7 @@ class EnvelopeLattice(Frozen):
         hasse: frozenset,
         extent: dict,
         context: GaloisContext,
-        _system: TransitionSystem | None,
     ):
-        below = {E: [] for E in extent.values()}
-        for P, Q in hasse:
-            below[extent[Q]].append(extent[P])
         vars(self).update(
             alphabet=alphabet,
             elements=elements,
@@ -118,13 +114,12 @@ class EnvelopeLattice(Frozen):
             hasse=hasse,
             extent=extent,
             context=context,
-            _system=_system,
-            _below=below,
+            _extents=frozenset(extent.values()),
         )
 
     @classmethod
-    def _of_masks(cls, context: GaloisContext, y: FinalSegment, below: dict):
-        """The envelope of y as its lattice on masks, with no form read."""
+    def _of_masks(cls, context: GaloisContext, y: FinalSegment, extents: frozenset):
+        """The envelope of y as its set of extents, with no form read."""
         env = cls.__new__(cls)
         A = y.alphabet
         vars(env).update(
@@ -132,46 +127,51 @@ class EnvelopeLattice(Frozen):
             x=full_segment(A),
             y=y,
             context=context,
-            _system=None,
-            _below=below,
+            _extents=extents,
         )
         return env
 
-    def __getattr__(self, name):
-        # reached only for a field not in the instance dict: a view of the
-        # masks before its first read
-        if name not in ("elements", "hasse", "extent") or "_below" not in vars(self):
-            raise AttributeError(name)
-        self._read_forms()
-        return vars(self)[name]
-
-    def _read_forms(self):
-        """Each extent's segment from _forms, sorted by seg_key, and the
-        covers mapped to segments: the elements, hasse and extent views."""
-        below = self._below
-        segment_of = _forms(self.context, below)
+    @cached_property
+    def extent(self) -> dict:
+        """Each extent's segment from _forms, sorted by seg_key, to its mask."""
+        segment_of = _forms(self.context, self._extents)
         key = dict(zip(segment_of, seg_keys(segment_of.values())))
-        order = sorted(segment_of, key=key.__getitem__)
-        elements = tuple(segment_of[E] for E in order)
-        vars(self).update(
-            elements=elements,
-            hasse=frozenset(
-                (segment_of[M], segment_of[E])
-                for E, lower in below.items()
-                for M in lower
-            ),
-            extent=dict(zip(elements, order)),
+        return {segment_of[E]: E for E in sorted(segment_of, key=key.__getitem__)}
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(self.extent)
+
+    @cached_property
+    def _below(self) -> dict:
+        """Each extent's lower covers. A lower cover M of E is the AND of the
+        columns holding it, one of which misses E (else E ⊆ M): so M is E ∧ C
+        for a column C not above E, and a largest such meet."""
+        columns = self.context.columns
+        return {E: _largest({E & C for C in columns if E & ~C}) for E in self._extents}
+
+    @cached_property
+    def hasse(self) -> frozenset:
+        segment_of = {E: P for P, E in self.extent.items()}
+        return frozenset(
+            (segment_of[M], segment_of[E])
+            for E, lower in self._below.items()
+            for M in lower
         )
+
+    @cached_property
+    def _system(self) -> TransitionSystem:
+        return _successor_system(self)
 
     def __hash__(self):
         return hash(self.y)
 
     def __len__(self):
         """The number of elements, counted on the masks."""
-        return len(self._below)
+        return len(self._extents)
 
     def cover_count(self) -> int:
-        """The number of covers, counted on the masks."""
+        """The number of covers, computed on the masks on first call."""
         return sum(map(len, self._below.values()))
 
     @property
@@ -179,8 +179,6 @@ class EnvelopeLattice(Frozen):
         return self.transition_system().transitions
 
     def transition_system(self) -> TransitionSystem:
-        if self._system is None:
-            vars(self)["_system"] = _successor_system(self)
         return self._system
 
     def automaton(self) -> Automaton:
@@ -226,35 +224,21 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     """The envelope of F, built on the bitmasks of galois_context(F).
 
     The extents are the columns closed under "AND with a column"; all ones is
-    x = A* and the accepting mask is y = F. The lower covers of an extent are
-    the largest of its meets with the columns not above it. The build keeps
-    the context and these covers on masks, and reads no form and no
-    transition: the elements, covers and extent map, and the system's
-    successor masks, are views of the masks (see EnvelopeLattice). The
-    automaton from x = A* to y = F accepts exactly F; `higman verify` and the
-    tests check that with language_equals_segment.
+    x = A* and the accepting mask is y = F. The build keeps the context and
+    this set of extents, and reads no form, no cover and no transition: the
+    elements, covers and extent map, and the system's successor masks, are
+    views of the masks (see EnvelopeLattice). The automaton from x = A* to
+    y = F accepts exactly F; `higman verify` and the tests check that with
+    language_equals_segment.
     """
     if is_empty(F):
         raise ValueError("the empty segment has no envelope")
     context = galois_context(F)
     columns = context.columns
-    below = {}
-
-    def meets_below(E):
-        # E ∧ C = E exactly when E ⊆ C, so only the other columns give meets
-        # below E; every AND of columns is reached one column at a time. A
-        # lower cover M of E is the AND of the columns holding it, one of
-        # which misses E (else E ⊆ M): so M = E ∧ column, a largest meet
-        # below E, and only the largest are kept.
-        meets = {E & C for C in columns}
-        meets.discard(E)
-        below[E] = _largest(meets)
-        return meets
-
-    # all ones is a column: A* = F/w for any w in F; closure visits every
-    # extent, so below holds them all
-    closure(columns, meets_below)
-    return EnvelopeLattice._of_masks(context, F, below)
+    # all ones is a column: A* = F/w for any w in F; every AND of columns is
+    # reached one column at a time
+    extents = closure(columns, lambda E: {E & C for C in columns})
+    return EnvelopeLattice._of_masks(context, F, frozenset(extents))
 
 
 def _successor_system(env: EnvelopeLattice) -> TransitionSystem:
@@ -379,38 +363,33 @@ def min_dfa_morphism(F: FinalSegment, env: EnvelopeLattice | None = None) -> dic
     It is the intersection of the right residuals of F by the words of L.
     The map sends the start state F to x = A*, the accepting state A* to
     y = F, and every transition (L, a, a^-1 L) to a transition of env; all
-    three are checked here. _forms reads only the images' forms, so the
-    element views are not built. An image edge (P, a, Q) is tested against
-    the system the envelope holds, given or read before, or else on the
-    masks, with no system built: E_P ⊆ pre_a(E_Q), that is
-    delta_a(E_P) ⊆ E_Q, and E_Q ⊆ pre_{bar a}(E_P).
+    three are checked here. Each image is tested against the set of extents,
+    and each image edge (P, a, Q) on the masks, with no system built:
+    E_P ⊆ pre_a(E_Q), that is delta_a(E_P) ⊆ E_Q, and E_Q ⊆ pre_{bar a}(E_P).
+    _forms then reads only the images' forms, so the element views are not
+    built.
     """
     if is_empty(F):
         raise ValueError("no morphism for the empty segment")
     env = build_envelope(F) if env is None else env
     if env.y != F:
         raise ValueError("the envelope was built for another segment")
-    A, context, ts = F.alphabet, env.context, env._system
+    A, context = F.alphabet, env.context
     objects = []
     for i, L in enumerate(context.states):
         M = reduce(and_, (C for C in context.columns if C >> i & 1))
-        if M not in env._below:
+        if M not in env._extents:
             raise RuntimeError(f"morphism image of {L!r} is not an envelope element")
         objects.append(M)
+    for a, row in context.succ.items():
+        for P, j in zip(objects, row):
+            Q = objects[j]
+            if P & ~context.pre(a, Q) or Q & ~context.pre(A.bar(a), P):
+                raise RuntimeError("morphism transition missing from envelope system")
     form = _forms(context, objects)
     image = {L: form[M] for L, M in zip(context.states, objects)}
     if image[F] != env.x or image[full_segment(A)] != env.y:
         raise RuntimeError("morphism does not send start to x and accepting to y")
-    at = None if ts is None else [ts._index[image[L]] for L in context.states]
-    for a, row in context.succ.items():
-        for i, j in enumerate(row):
-            if ts is None:
-                P, Q = objects[i], objects[j]
-                found = not (P & ~context.pre(a, Q) or Q & ~context.pre(A.bar(a), P))
-            else:
-                found = ts._successors[a][at[i]] >> at[j] & 1
-            if not found:
-                raise RuntimeError("morphism transition missing from envelope system")
     return image
 
 

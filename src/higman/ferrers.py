@@ -86,12 +86,12 @@ def is_ferrers_regular(machine) -> tuple[bool, tuple | None]:
 def is_linearly_orderable(env: EnvelopeLattice) -> bool:
     """Whether the envelope elements form a chain under inclusion.
 
-    Two incomparable elements close a cycle of covers through their meet and
-    join, so a finite lattice is a chain exactly when its covers form a
-    tree: one cover fewer than elements. Both are counted on the extent
-    masks, so no element's form is read.
+    Inclusion of elements is inclusion of extents, so they form a chain
+    exactly when the extents, sorted by popcount, each lie inside the next.
+    No element's form is read and no cover is computed.
     """
-    return env.cover_count() == len(env) - 1
+    chain = sorted(env._extents, key=int.bit_count)
+    return all(E & G == E for E, G in zip(chain, chain[1:]))
 
 
 def check_ferrers_equivalence(F: FinalSegment) -> bool:

@@ -511,30 +511,41 @@ class TestMinDfaMorphism:
                 assert times_letter_in(image[Y2], A.bar(a), image[Y])
 
     def test_missing_image_transition_is_caught(self):
-        # every image edge is load-bearing: drop one from the envelope's
-        # system and the morphism check must refuse it
-        A = ab()
-        F = segment(A, "aa", "bb")
-        env = build_envelope(F)
-        image = min_dfa_morphism(F, env)
-        for (L, a), L2 in minimal_dfa(F).delta.items():
-            edge = (image[L], a, image[L2])
-            system = TransitionSystem(A, env.elements, env.t_f - {edge})
-            broken = EnvelopeLattice(
-                A, env.elements, env.x, env.y, env.hasse, env.extent, env.context, system
-            )
-            with pytest.raises(RuntimeError, match="morphism transition missing"):
-                min_dfa_morphism(F, broken)
+        # every image edge is load-bearing: redirect one quotient edge to a
+        # state whose image is not an a-successor of the source's image, and
+        # the test on the masks must refuse it, whichever inclusion fails
+        failed = set()
+        for F in (
+            segment(ab(), "aa", "bb"),
+            segment(ab(), "ab", "ba"),
+            segment(abc_primed(), "a[b']", "ba"),
+        ):
+            env = build_envelope(F)
+            A, context = F.alphabet, env.context
+            image = min_dfa_morphism(F, env)
+            image = [image[L] for L in context.states]
+            for a, row in context.succ.items():
+                for i, P in enumerate(image):
+                    for j, Q in enumerate(image):
+                        held = (times_letter_in(P, a, Q), times_letter_in(Q, A.bar(a), P))
+                        if all(held):
+                            continue
+                        failed.add(held)
+                        redirected = row[:i] + (j,) + row[i + 1 :]
+                        lost = context._replace(succ={**context.succ, a: redirected})
+                        broken = EnvelopeLattice._of_masks(lost, F, env._extents)
+                        with pytest.raises(RuntimeError, match="morphism transition missing"):
+                            min_dfa_morphism(F, broken)
+        assert {(False, True), (True, False)} <= failed
 
     def test_image_edges_are_tested_on_masks(self, monkeypatch):
-        # with no system in the envelope, each image edge is tested on the
-        # masks and none is built, nor the element views; with a system,
-        # against it, to the same map
+        # the morphism reads the masks alone: no system is built, nor the
+        # element views, and the map is the same once both are read
         calls = count_calls(monkeypatch, envelope, "_successor_system")
         for built, F in enumerate(regression_segments()):
             env = build_envelope.__wrapped__(F)
             image = min_dfa_morphism(F, env)
-            assert len(calls) == built and env._system is None
+            assert len(calls) == built and "_system" not in vars(env)
             assert "elements" not in vars(env)
             assert set(image.values()) <= set(env.elements)
             env.transition_system()
@@ -548,7 +559,7 @@ class TestMinDfaMorphism:
         env = build_envelope.__wrapped__(F)
         preds = {a: [0] * len(row) for a, row in env.context.preds.items()}
         lost = env.context._replace(preds=preds)
-        broken = EnvelopeLattice._of_masks(lost, F, env._below)
+        broken = EnvelopeLattice._of_masks(lost, F, env._extents)
         with pytest.raises(RuntimeError, match="morphism transition missing"):
             min_dfa_morphism(F, broken)
 

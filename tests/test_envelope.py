@@ -218,6 +218,7 @@ class TestBuildEnvelope:
             for P in env.elements:
                 for Q in env.elements:
                     assert subset_of(P, Q) == included(P, Q)
+            assert env.hasse == covers_oracle(env.elements)
 
         check()
 
@@ -346,7 +347,7 @@ class TestSystemView:
             spec.write_text(json.dumps(spec_document(F)), encoding="utf-8")
             assert main(["envelope", str(spec)]) == 0
             assert capsys.readouterr().out.startswith(f"{len(env.elements)} element")
-            assert env._system is None
+            assert "_system" not in vars(env)
         assert calls == []
 
     def test_first_read_builds_once_and_keeps_the_system(self, monkeypatch):
@@ -408,7 +409,7 @@ class TestFormsView:
         assert calls == []
         elements = env.elements
         assert env.hasse and env.extent and env.elements is elements
-        assert calls == [(env.context, env._below)]
+        assert calls == [(env.context, env._extents)]
 
     def test_unread_envelope_compares_hashes_prints_and_pickles(self):
         F = segment(ab(), "aaa", "bbb")
@@ -435,9 +436,9 @@ class TestFormsView:
         for env in regression_envelopes():
             given = EnvelopeLattice(
                 env.alphabet, env.elements, env.x, env.y, env.hasse, env.extent,
-                env.context, None,
+                env.context,
             )
-            assert given == env
+            assert given == env and given._extents == env._extents
             assert (len(given), given.cover_count()) == (len(env), env.cover_count())
             assert {E: set(M) for E, M in given._below.items()} == {
                 E: set(M) for E, M in env._below.items()
@@ -605,6 +606,28 @@ class TestCovers:
     def test_agree_with_pairwise_inclusion(self):
         for env in regression_envelopes():
             assert env.hasse == covers_oracle(env.elements)
+
+    def test_covers_are_computed_on_demand(self, monkeypatch):
+        # the build, the count, the forms, the system, the distances and the
+        # morphism read the extents alone; the first read of the covers runs
+        # _largest once per extent, and later reads run it no more. dist's
+        # cache starts empty, since finding an equal envelope of F there
+        # would compare the two, covers included.
+        calls = count_calls(monkeypatch, envelope, "_largest")
+        for read in (lambda env: env.hasse, lambda env: env.cover_count()):
+            for F in regression_segments() + [segment(ab(), "aaaa", "bbbb")]:
+                dist.cache_clear()
+                env = build_envelope.__wrapped__(F)
+                assert len(env) == len(env.elements)
+                env.transition_system()
+                dist(env, env.x, env.y)
+                min_dfa_morphism(F, env)
+                assert calls == []
+                read(env)
+                assert len(calls) == len(env)
+                env.hasse, env.cover_count()
+                assert len(calls) == len(env)
+                calls.clear()
 
     def test_largest_masks_are_those_inside_no_other(self):
         rng = random.Random(28)

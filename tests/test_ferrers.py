@@ -268,15 +268,19 @@ class TestLinearlyOrderable:
         assert True in verdicts and False in verdicts
 
     def test_counts_on_masks_agree_with_counts_on_forms(self, monkeypatch):
-        # the verdict is read on the extent masks, before any form, and
-        # equals one cover fewer than elements counted on the forms
-        calls = count_calls(monkeypatch, envelope, "_forms")
+        # the verdict is read on the extent masks, before any form or cover,
+        # and equals one cover fewer than elements, counted on the masks and
+        # on the forms
+        forms = count_calls(monkeypatch, envelope, "_forms")
+        covers = count_calls(monkeypatch, envelope, "_largest")
         for F in regression_bases() + regression_bases(ab_ordered()):
             env = build_envelope.__wrapped__(F)
             verdict = is_linearly_orderable(env)
-            assert calls == []
+            assert forms == [] and covers == []
+            assert verdict == (env.cover_count() == len(env) - 1), F
             assert verdict == (len(env.hasse) == len(env.elements) - 1), F
-            calls.clear()
+            forms.clear()
+            covers.clear()
 
     def test_equivalence_check_reads_no_envelope_form(self, monkeypatch):
         calls = count_calls(monkeypatch, envelope, "_forms")

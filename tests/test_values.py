@@ -29,7 +29,7 @@ def value_cases() -> list[dict]:
     env = build_envelope(segment(A, "a"))
     env_args = {
         name: getattr(env, name)
-        for name in ("alphabet", "elements", "x", "y", "hasse", "extent", "context", "_system")
+        for name in ("alphabet", "elements", "x", "y", "hasse", "extent", "context")
     }
     grid = ChainProduct((2, 3))
     gens = (A.word("ab"),)
@@ -89,7 +89,6 @@ def value_cases() -> list[dict]:
             same=dict(
                 extent={P: 2 * E for P, E in env.extent.items()},
                 context=None,
-                _system=None,
             ),
             hash=hash(env.y),
             repr=f"EnvelopeLattice(alphabet={A!r}, elements={env.elements!r}, "
