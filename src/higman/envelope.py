@@ -10,13 +10,14 @@ distinct extents are distinct segments, and the segment of an extent E is
 {u : u^-1 F in E}, the language of that automaton with E as its accepting
 set. The build keeps the set of extents on masks; the covers, and the
 segments that display, export and the distances read, are views built on
-first access. The transition system over single letters is an acceptor of
-F. The distance between two elements is algebraic: d(P, Q) holds the words
-w with P.up(w) inside Q and Q.up(bar w) inside P. It equals the language of
-paths P -> Q in the transition system, which `higman verify` checks one row
-per walk and the tests with accepted_basis. The morphism from minimal_dfa(F)
-into the envelope, sums of pointed spaces and concatenation decomposition
-live here too.
+first access. F alone determines the envelope, so an envelope compares,
+hashes and prints as its y. The transition system over single letters is
+an acceptor of F. The distance between two elements is algebraic: d(P, Q)
+holds the words w with P.up(w) inside Q and Q.up(bar w) inside P. It
+equals the language of paths P -> Q in the transition system, which
+`higman verify` checks one row per walk and the tests with accepted_basis.
+The morphism from minimal_dfa(F) into the envelope, sums of pointed spaces
+and concatenation decomposition live here too.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class EnvelopeLattice(Frozen):
     """The envelope as a lattice of final segments plus its transition system.
 
     Its core is the set of extents on masks: context is galois_context(y),
-    and _extents the ANDs of its columns; len() counts them. Every other
+    and extents the ANDs of its columns; len() counts them. Every other
     field is a view of that core, built on first read and kept: extent maps
     each element to its mask, in seg_key order, and elements are its keys,
     the extents' segments, closed under pairwise intersection and holding
@@ -86,55 +87,28 @@ class EnvelopeLattice(Frozen):
     pairs (lower, upper) of elements. The reflexive-involutive system on the
     elements holds (P, a, Q) iff P.up(a) lies inside Q and Q.up(bar a) inside
     P; transition_system() reads its successor masks off the extents, and
-    t_f, its triples, is a view of them. An envelope made by the constructor
-    is given elements, hasse and extent, which shadow the views. y
-    determines the elements, and they the system, extent and context, which
-    are left out of equality and repr; so the hash, which dist's cache key
-    needs, is hash(y): y's identity, since segments are interned, and it
-    reads no form. Equality and repr read elements and hasse, and so build
-    the forms and the covers."""
+    t_f, its triples, is a view of them. The envelope of F is unique up to an
+    isometry fixing x and y, so y is its value: equality and repr read y
+    alone, and the hash, which dist's cache key needs, is hash(y), y's
+    identity since segments are interned. None of them reads a form or a
+    cover."""
 
-    _fields = ("alphabet", "elements", "x", "y", "hasse")
+    _fields = ("y",)
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        elements: tuple,
-        x: FinalSegment,
-        y: FinalSegment,
-        hasse: frozenset,
-        extent: dict,
-        context: GaloisContext,
-    ):
-        vars(self).update(
-            alphabet=alphabet,
-            elements=elements,
-            x=x,
-            y=y,
-            hasse=hasse,
-            extent=extent,
-            context=context,
-            _extents=frozenset(extent.values()),
-        )
-
-    @classmethod
-    def _of_masks(cls, context: GaloisContext, y: FinalSegment, extents: frozenset):
-        """The envelope of y as its set of extents, with no form read."""
-        env = cls.__new__(cls)
+    def __init__(self, context: GaloisContext, y: FinalSegment, extents: frozenset):
         A = y.alphabet
-        vars(env).update(
+        vars(self).update(
             alphabet=A,
             x=full_segment(A),
             y=y,
             context=context,
-            _extents=extents,
+            extents=extents,
         )
-        return env
 
     @cached_property
     def extent(self) -> dict:
         """Each extent's segment from _forms, sorted by seg_key, to its mask."""
-        segment_of = _forms(self.context, self._extents)
+        segment_of = _forms(self.context, self.extents)
         key = dict(zip(segment_of, seg_keys(segment_of.values())))
         return {segment_of[E]: E for E in sorted(segment_of, key=key.__getitem__)}
 
@@ -148,7 +122,7 @@ class EnvelopeLattice(Frozen):
         columns holding it, one of which misses E (else E ⊆ M): so M is E ∧ C
         for a column C not above E, and a largest such meet."""
         columns = self.context.columns
-        return {E: _largest({E & C for C in columns if E & ~C}) for E in self._extents}
+        return {E: _largest({E & C for C in columns if E & ~C}) for E in self.extents}
 
     @cached_property
     def hasse(self) -> frozenset:
@@ -168,7 +142,7 @@ class EnvelopeLattice(Frozen):
 
     def __len__(self):
         """The number of elements, counted on the masks."""
-        return len(self._extents)
+        return len(self.extents)
 
     def cover_count(self) -> int:
         """The number of covers, computed on the masks on first call."""
@@ -238,7 +212,7 @@ def build_envelope(F: FinalSegment) -> EnvelopeLattice:
     # all ones is a column: A* = F/w for any w in F; every AND of columns is
     # reached one column at a time
     extents = closure(columns, lambda E: {E & C for C in columns})
-    return EnvelopeLattice._of_masks(context, F, frozenset(extents))
+    return EnvelopeLattice(context, F, frozenset(extents))
 
 
 def _successor_system(env: EnvelopeLattice) -> TransitionSystem:
@@ -378,7 +352,7 @@ def min_dfa_morphism(F: FinalSegment, env: EnvelopeLattice | None = None) -> dic
     objects = []
     for i, L in enumerate(context.states):
         M = reduce(and_, (C for C in context.columns if C >> i & 1))
-        if M not in env._extents:
+        if M not in env.extents:
             raise RuntimeError(f"morphism image of {L!r} is not an envelope element")
         objects.append(M)
     for a, row in context.succ.items():

@@ -90,7 +90,7 @@ def is_linearly_orderable(env: EnvelopeLattice) -> bool:
     exactly when the extents, sorted by popcount, each lie inside the next.
     No element's form is read and no cover is computed.
     """
-    chain = sorted(env._extents, key=int.bit_count)
+    chain = sorted(env.extents, key=int.bit_count)
     return all(E & G == E for E, G in zip(chain, chain[1:]))
 
 

@@ -533,7 +533,7 @@ class TestMinDfaMorphism:
                         failed.add(held)
                         redirected = row[:i] + (j,) + row[i + 1 :]
                         lost = context._replace(succ={**context.succ, a: redirected})
-                        broken = EnvelopeLattice._of_masks(lost, F, env._extents)
+                        broken = EnvelopeLattice(lost, F, env.extents)
                         with pytest.raises(RuntimeError, match="morphism transition missing"):
                             min_dfa_morphism(F, broken)
         assert {(False, True), (True, False)} <= failed
@@ -559,7 +559,7 @@ class TestMinDfaMorphism:
         env = build_envelope.__wrapped__(F)
         preds = {a: [0] * len(row) for a, row in env.context.preds.items()}
         lost = env.context._replace(preds=preds)
-        broken = EnvelopeLattice._of_masks(lost, F, env._extents)
+        broken = EnvelopeLattice(lost, F, env.extents)
         with pytest.raises(RuntimeError, match="morphism transition missing"):
             min_dfa_morphism(F, broken)
 

@@ -409,7 +409,7 @@ class TestFormsView:
         assert calls == []
         elements = env.elements
         assert env.hasse and env.extent and env.elements is elements
-        assert calls == [(env.context, env._extents)]
+        assert calls == [(env.context, env.extents)]
 
     def test_unread_envelope_compares_hashes_prints_and_pickles(self):
         F = segment(ab(), "aaa", "bbb")
@@ -432,17 +432,27 @@ class TestFormsView:
         assert len(env) == comb(2 * n, n) == count
         assert calls == []
 
-    def test_an_envelope_given_its_views_has_their_masks(self):
-        for env in regression_envelopes():
-            given = EnvelopeLattice(
-                env.alphabet, env.elements, env.x, env.y, env.hasse, env.extent,
-                env.context,
-            )
-            assert given == env and given._extents == env._extents
-            assert (len(given), given.cover_count()) == (len(env), env.cover_count())
-            assert {E: set(M) for E, M in given._below.items()} == {
-                E: set(M) for E, M in env._below.items()
-            }
+    def test_equal_envelopes_of_a_large_square_meet_with_no_form_or_cover(
+        self, monkeypatch
+    ):
+        # y is the value: a build, a rebuild and a pickled copy of {a⁸,b⁸}
+        # compare, hash, key a dict and print as F, with no view read
+        F = segment(ab(), "a" * 8, "b" * 8)
+        build_envelope.cache_clear()
+        built = build_envelope(F)
+        rebuilt = build_envelope.__wrapped__(F)
+        copied = pickle.loads(pickle.dumps(built))
+        forms = count_calls(monkeypatch, envelope, "_forms")
+        covers = count_calls(monkeypatch, envelope, "_largest")
+        envs = (built, rebuilt, copied)
+        for one in envs:
+            for other in envs:
+                assert one == other and hash(one) == hash(other)
+                assert {other: 1}[one] == 1
+        assert {repr(one) for one in envs} == {f"EnvelopeLattice(y={F!r})"}
+        assert forms == covers == []
+        for one in envs:
+            assert "extent" not in vars(one)
 
 
 class TestExtents:
@@ -610,13 +620,12 @@ class TestCovers:
     def test_covers_are_computed_on_demand(self, monkeypatch):
         # the build, the count, the forms, the system, the distances and the
         # morphism read the extents alone; the first read of the covers runs
-        # _largest once per extent, and later reads run it no more. dist's
-        # cache starts empty, since finding an equal envelope of F there
-        # would compare the two, covers included.
+        # _largest once per extent, and later reads run it no more. In the
+        # second round dist's cache holds an envelope of F from the first,
+        # which the lookup compares by y alone.
         calls = count_calls(monkeypatch, envelope, "_largest")
         for read in (lambda env: env.hasse, lambda env: env.cover_count()):
             for F in regression_segments() + [segment(ab(), "aaaa", "bbbb")]:
-                dist.cache_clear()
                 env = build_envelope.__wrapped__(F)
                 assert len(env) == len(env.elements)
                 env.transition_system()
@@ -628,6 +637,22 @@ class TestCovers:
                 env.hasse, env.cover_count()
                 assert len(calls) == len(env)
                 calls.clear()
+
+    def test_a_stale_dist_entry_is_found_with_no_form_or_cover(self, monkeypatch):
+        # an envelope of F built apart, already in dist's cache, serves a
+        # fresh one's lookup: neither envelope reads a form or a cover
+        for F in regression_segments() + [segment(ab(), "aaaa", "bbbb")]:
+            stale = build_envelope.__wrapped__(F)
+            D = dist(stale, stale.x, stale.y)
+            fresh = build_envelope.__wrapped__(F)
+            hits = dist.cache_info().hits
+            with monkeypatch.context() as patch:
+                forms = count_calls(patch, envelope, "_forms")
+                covers = count_calls(patch, envelope, "_largest")
+                assert dist(fresh, fresh.x, fresh.y) is D
+            assert dist.cache_info().hits == hits + 1
+            assert forms == covers == [], F
+            assert "extent" not in vars(fresh) and "_below" not in vars(stale)
 
     def test_largest_masks_are_those_inside_no_other(self):
         rng = random.Random(28)

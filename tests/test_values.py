@@ -27,10 +27,7 @@ def value_cases() -> list[dict]:
     ts = TransitionSystem(**ts_args)
     F = segment(A, "ab", "ba")
     env = build_envelope(segment(A, "a"))
-    env_args = {
-        name: getattr(env, name)
-        for name in ("alphabet", "elements", "x", "y", "hasse", "extent", "context")
-    }
+    env_args = {name: getattr(env, name) for name in ("context", "y", "extents")}
     grid = ChainProduct((2, 3))
     gens = (A.word("ab"),)
     return [
@@ -85,14 +82,10 @@ def value_cases() -> list[dict]:
         dict(
             cls=EnvelopeLattice,
             args=env_args,
-            differ=dict(elements=env.elements[::-1], y=env.x, hasse=frozenset()),
-            same=dict(
-                extent={P: 2 * E for P, E in env.extent.items()},
-                context=None,
-            ),
+            differ=dict(y=env.x),
+            same=dict(context=None, extents=frozenset()),
             hash=hash(env.y),
-            repr=f"EnvelopeLattice(alphabet={A!r}, elements={env.elements!r}, "
-            f"x={env.x!r}, y={env.y!r}, hasse={env.hasse!r})",
+            repr=f"EnvelopeLattice(y={env.y!r})",
             frozen=True,
         ),
         dict(
