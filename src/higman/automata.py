@@ -10,6 +10,8 @@ states, which _quotients walks once, on code strings. closure(),
 shortest_word() and find_bijection() are the machine layer's one
 reachability walk, shortest-word search and backtracking matcher, and
 _first_difference its one comparison of languages with final segments.
+articulation_states tests only the inner states of one shortest x-y path,
+read off closure's discovery order, as a cut lies on every x-y path.
 """
 
 from __future__ import annotations
@@ -398,9 +400,11 @@ def find_bijection(order, candidates, fits) -> dict | None:
 def articulation_states(ts: TransitionSystem, x, y) -> list:
     """States other than x, y whose removal disconnects x from y.
 
-    Works on the underlying undirected graph with loops ignored; the result
-    is ordered by distance from x. Every cut lies on a shortest x-y path, so
-    no two cuts tie and breadth-first discovery order sorts them.
+    Works on the underlying undirected graph with loops ignored. A cut lies
+    on every x-y path, so only the inner states of one shortest path, read
+    back from y through each state's earliest-discovered neighbour in a
+    breadth-first walk from x, are tested, each by one walk that avoids it.
+    The result is in path order, which is the order of distance from x.
     """
     if x == y:
         return []
@@ -412,12 +416,14 @@ def articulation_states(ts: TransitionSystem, x, y) -> list:
         for i in range(len(ts.states))
     ]
     ix, iy = ts._index[x], ts._index[y]
-    order = closure([ix], lambda i: _bits(adj[i]))
-    if iy not in order:
+    rank = {z: r for r, z in enumerate(closure([ix], lambda i: _bits(adj[i])))}
+    if iy not in rank:
         raise ValueError("x and y are not connected")
+    path = [iy]  # the neighbour a state was discovered from ranks lowest
+    while path[-1] != ix:
+        path.append(min(_bits(adj[path[-1]]), key=rank.__getitem__))
     return [
         ts.states[z]
-        for z in order
-        if z not in (ix, iy)
-        and iy not in closure([ix], lambda i: _bits(adj[i] & ~(1 << z)))
+        for z in reversed(path[1:-1])
+        if iy not in closure([ix], lambda i: _bits(adj[i] & ~(1 << z)))
     ]

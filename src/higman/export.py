@@ -1,4 +1,4 @@
-"""Deterministic DOT and JSON views of envelopes, automata, and up-sets.
+"""Deterministic DOT and JSON views of envelopes and automata.
 
 Every function returns a plain string or a plain dict built in one fixed
 order, so writing the same object twice gives identical bytes.
@@ -7,7 +7,6 @@ order, so writing the same object twice gives identical bytes.
 from .segments import FinalSegment, format_segment, seg_key
 from .automata import Automaton, Dfa
 from .envelope import EnvelopeLattice, dist
-from .chainprod import UpSet
 
 
 def _name(state) -> str:
@@ -139,9 +138,3 @@ def dfa_payload(dfa: Dfa) -> dict:
         "delta": _named_triples(_dfa_triples(dfa)),
     }
 
-
-def upset_payload(Y: UpSet) -> dict:
-    return {
-        "dims": list(Y.product.dims),
-        "min_tuples": [list(t) for t in Y.mintuples],
-    }

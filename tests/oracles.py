@@ -3,7 +3,8 @@
 Everything here is deliberately written from the definitions, sharing no
 algorithmic ideas with the package (exhaustive embedding search instead of
 greedy matching, pointwise set evaluation instead of basis calculus,
-subset enumeration instead of bitmask filters).
+subset enumeration instead of bitmask filters, removing every state instead
+of testing one path's).
 """
 
 from itertools import combinations, permutations, product
@@ -192,3 +193,36 @@ def saturate_oracle(ts) -> frozenset:
         if implied <= T:
             return frozenset(T)
         T |= implied
+
+
+def undirected_distances(ts, x, removed=frozenset()) -> dict:
+    """The distance from x of each state reachable from it in the undirected
+    graph of ts's transitions with the removed states taken out, layer by
+    layer from plain sets."""
+    adj = {q: set() for q in ts.states}
+    for p, _, q in ts.transitions:
+        adj[p].add(q)
+        adj[q].add(p)
+    dist, layer, d = {x: 0}, {x}, 0
+    while layer:
+        d += 1
+        layer = {q for p in layer for q in adj[p]} - removed - dist.keys()
+        dist.update(dict.fromkeys(layer, d))
+    return dist
+
+
+def cut_states_oracle(ts, x, y) -> list:
+    """The states other than x, y whose removal disconnects x from y in the
+    undirected graph of ts's transitions, sorted by their distance from x:
+    every state is removed in turn and the rest searched."""
+    if x == y:
+        return []
+    dist = undirected_distances(ts, x)
+    if y not in dist:
+        raise ValueError("x and y are not connected")
+    cuts = [
+        z
+        for z in ts.states
+        if z not in (x, y) and y not in undirected_distances(ts, x, {z})
+    ]
+    return sorted(cuts, key=dist.__getitem__)

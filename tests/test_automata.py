@@ -9,6 +9,7 @@ import pytest
 from higman import automata, envelope
 from higman.words import Alphabet, Word, embeds
 from higman.segments import (
+    concat_seg,
     contains,
     empty_segment,
     full_segment,
@@ -47,11 +48,13 @@ from helpers import (
     times_letter_in,
 )
 from oracles import (
+    cut_states_oracle,
     is_isomorphism,
     is_reflexive_involutive_oracle,
     isomorphic_oracle,
     member,
     saturate_oracle,
+    undirected_distances,
     words_upto,
 )
 
@@ -757,6 +760,70 @@ class TestArticulationStates:
         )
         assert articulation_states(ts, "x", "y") == ["u", "v"]
         assert articulation_states(ts, "y", "x") == ["v", "u"]
+
+    def test_agrees_with_removal_oracle_on_drawn_systems(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(
+            max_examples=300, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(
+            st.sampled_from([ab(), ab_ordered(), abc_primed(), Alphabet(["a"])]),
+            st.integers(1, 10),
+            st.lists(
+                st.tuples(st.integers(0, 9), st.integers(0, 5), st.integers(0, 9))
+            ),
+            st.integers(0, 9),
+            st.integers(0, 9),
+            st.booleans(),
+        )
+        def check(A, n, picks, i, j, chained):
+            states = tuple(f"q{k}" for k in range(n))
+            letters = A.letters
+            if chained:  # a path through every state: connected, with cuts
+                picks = picks + [(k, 0, k + 1) for k in range(n - 1)]
+            trans = frozenset(
+                (states[p % n], letters[a % len(letters)], states[q % n])
+                for p, a, q in picks
+            )
+            ts = TransitionSystem(A, states, trans)
+            # distinct endpoints whenever there are two states
+            x, y = states[i % n], states[(i + 1 + j % max(n - 1, 1)) % n]
+            for x, y in ((x, y), (y, x)):
+                try:
+                    expected = cut_states_oracle(ts, x, y)
+                except ValueError as e:
+                    with pytest.raises(ValueError, match=str(e)):
+                        articulation_states(ts, x, y)
+                else:
+                    assert articulation_states(ts, x, y) == expected
+
+        check()
+
+    @pytest.mark.parametrize(
+        "gens",
+        [(("aa", "bb"), ("aa", "bb")), (("aabb",),), (("a",), ("ab", "ba"))],
+    )
+    def test_agrees_with_removal_oracle_on_concatenations(self, gens):
+        A = ab()
+        F = reduce(concat_seg, (segment(A, *g) for g in gens))
+        env = build_envelope(F)
+        ts = env.transition_system()
+        cuts = articulation_states(ts, env.x, env.y)
+        assert cuts == cut_states_oracle(ts, env.x, env.y)
+        assert articulation_states(ts, env.y, env.x) == cuts[::-1]
+        assert cut_states_oracle(ts, env.y, env.x) == cuts[::-1]
+        if gens == (("aa", "bb"), ("aa", "bb")):
+            assert cuts == [segment(A, "aa", "bb")]
+
+    def test_walks_one_path(self, monkeypatch):
+        env = build_envelope(segment(ab(), "aaaaa", "bbbbb"))
+        ts = env.transition_system()
+        d = undirected_distances(ts, env.x)[env.y]
+        calls = count_calls(monkeypatch, automata, "closure")
+        assert articulation_states(ts, env.x, env.y) == []
+        assert len(calls) <= 1 + d
 
 
 def random_saturated_automaton(A, rng, n_states=3, density=0.3):

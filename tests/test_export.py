@@ -5,7 +5,6 @@ import json
 from higman.segments import segment
 from higman.automata import minimal_dfa
 from higman.envelope import build_envelope
-from higman.chainprod import up_set, ChainProduct
 from higman.export import (
     automaton_payload,
     dfa_payload,
@@ -14,7 +13,6 @@ from higman.export import (
     dot_hasse,
     dot_transitions,
     envelope_payload,
-    upset_payload,
 )
 from higman.minmax_pair import automaton_one
 from helpers import ab
@@ -101,10 +99,3 @@ class TestPayloads:
         assert payload["accepting"] == ["A*"]
         # total: one triple per state and letter
         assert len(payload["delta"]) == len(payload["states"]) * 2
-
-    def test_upset_payload(self):
-        Y = up_set(ChainProduct((2, 2)), [(1, 0), (0, 1)])
-        assert upset_payload(Y) == {
-            "dims": [2, 2],
-            "min_tuples": [[0, 1], [1, 0]],
-        }
