@@ -408,13 +408,13 @@ def articulation_states(ts: TransitionSystem, x, y) -> list:
     """
     if x == y:
         return []
-    # saturation joins i and j exactly when some letter does, either way;
-    # with no letter, no state has a neighbour
-    rows = _saturated(ts).values()
-    adj = [
-        reduce(or_, (row[i] for row in rows), 0) & ~(1 << i)
-        for i in range(len(ts.states))
-    ]
+    # a letter joins i and j either way, as saturating would; no letter, no edge
+    n, rows = len(ts.states), ts._successors.values()
+    adj = [reduce(or_, (row[i] for row in rows), 0) & ~(1 << i) for i in range(n)]
+    for i, out in enumerate(adj.copy()):
+        bit = 1 << i
+        for j in _bits(out):
+            adj[j] |= bit
     ix, iy = ts._index[x], ts._index[y]
     rank = {z: r for r, z in enumerate(closure([ix], lambda i: _bits(adj[i])))}
     if iy not in rank:

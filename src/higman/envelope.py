@@ -80,7 +80,7 @@ class EnvelopeLattice(Frozen):
     Its core is the set of extents on masks: context is galois_context(y),
     and extents the ANDs of its columns; len() counts them. Every other
     field is a view of that core, built on first read and kept: extent maps
-    each element to its mask, in seg_key order, and elements are its keys,
+    each element to its mask, in seg_keys order, and elements are its keys,
     the extents' segments, closed under pairwise intersection and holding
     both base points x = A* and y = F; _below maps each extent to its lower
     covers, which cover_count() counts on the masks, and hasse holds them as
@@ -107,7 +107,7 @@ class EnvelopeLattice(Frozen):
 
     @cached_property
     def extent(self) -> dict:
-        """Each extent's segment from _forms, sorted by seg_key, to its mask."""
+        """Each extent's segment from _forms, sorted by seg_keys, to its mask."""
         segment_of = _forms(self.context, self.extents)
         key = dict(zip(segment_of, seg_keys(segment_of.values())))
         return {segment_of[E]: E for E in sorted(segment_of, key=key.__getitem__)}

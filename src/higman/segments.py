@@ -44,11 +44,11 @@ class FinalSegment(Frozen):
     same as Words, is built on first read and kept (a cached_property);
     nothing else is stored on a segment. Segments are hash-consed: _segment,
     which every path builds through (a pickle or a copy too, since
-    __reduce__ rebuilds from the fields), returns the live segment of
-    (alphabet, codes) in _interned, a WeakValueDictionary, if there is one.
-    So equality and the hash are object identity, C-level slots, and the
-    table holds only segments the program still keeps. The basis must
-    already be canonical: canonicalize() makes one from any generating words.
+    __reduce__ passes the codes), returns the live segment of (alphabet,
+    codes) in _interned, a WeakValueDictionary, if there is one. So equality
+    and the hash are object identity, C-level slots, and the table holds
+    only segments the program still keeps. The basis must already be
+    canonical: canonicalize() makes one from any generating words.
     """
 
     _fields = ("alphabet", "basis")
@@ -63,7 +63,7 @@ class FinalSegment(Frozen):
         return tuple(_decode(self.alphabet, s) for s in self.codes)
 
     def __reduce__(self):
-        return FinalSegment, (self.alphabet, self.basis)
+        return _segment, (self.alphabet, self.codes)
 
 
 # (alphabet, codes) -> the one live segment of that value
@@ -255,16 +255,10 @@ def involute_seg(F: FinalSegment) -> FinalSegment:
     return _sorted(F.alphabet, [u[::-1].translate(bar) for u in F.codes])
 
 
-def seg_key(F: FinalSegment) -> tuple:
-    """Canonical total order on segments, for deterministic listings: basis
-    size, then the sort_key of each basis word."""
-    return seg_keys((F,))[0]
-
-
 def seg_keys(segments) -> list:
-    """[seg_key(F) for F in segments], over one alphabet, read off codes:
-    the key of a code string, (len(s), tuple(map(ord, s))), is the sort_key
-    of its word, and each distinct string's key is built once."""
+    """The canonical keys of segments over one alphabet, for listings: basis
+    size, then each basis word's sort_key, (len(s), tuple(map(ord, s))) for
+    its code string s, built once per distinct string."""
     segments = tuple(segments)
     distinct = set(chain.from_iterable(F.codes for F in segments))
     key = {s: (len(s), tuple(map(ord, s))) for s in distinct}.__getitem__
@@ -272,10 +266,11 @@ def seg_keys(segments) -> list:
 
 
 def format_segment(F: FinalSegment) -> str:
-    if not F.basis:
+    """F as listings write it, from its codes: no Word is built."""
+    if not F.codes:
         return "∅"
     if is_full(F):
         return "A*"
-    if len(F.basis) == 1:
-        return f"↑{F.basis[0]}"
-    return "↑{" + ",".join(str(u) for u in F.basis) + "}"
+    written = _letter_codes(F.alphabet)[4]
+    body = ",".join(s.translate(written) for s in F.codes)
+    return f"↑{body}" if len(F.codes) == 1 else "↑{" + body + "}"

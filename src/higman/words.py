@@ -192,7 +192,7 @@ class Word(Frozen):
         return len(self.symbols)
 
     def __str__(self):
-        return "".join(a if len(a) == 1 else f"[{a}]" for a in self.symbols)
+        return _encode(self).translate(_letter_codes(self.alphabet)[4])
 
     def __repr__(self):
         return f"Word({str(self)!r})"
@@ -313,15 +313,16 @@ def minimal_words(words) -> tuple[Word, ...]:
 @lru_cache(maxsize=MEMO_SIZE)
 def _letter_codes(A: Alphabet) -> tuple:
     """Letter i written as chr(i), with the letter order (None when it is
-    equality), the minimal upper bounds of letter pairs and the involution,
-    a str.translate table, carried over to the codes."""
+    equality), the minimal upper bounds of letter pairs, the involution (a
+    str.translate table) and each letter as written, all on the codes."""
     code = {a: chr(i) for i, a in enumerate(A.letters)}
     mubs = {}
     for a, b in product(A.letters, repeat=2):
         ups = [code[c] for c in A.letters if A.leq(a, c) and A.leq(b, c)]
         mubs[code[a], code[b]] = "".join(_minimal(A._code_order, ups))
     bar = {i: A.index[A._bar[a]] for i, a in enumerate(A.letters)}
-    return code, A._code_order, mubs, bar
+    written = tuple(a if len(a) == 1 else f"[{a}]" for a in A.letters)
+    return code, A._code_order, mubs, bar, written
 
 
 def _encode(w: Word) -> str:
@@ -338,7 +339,7 @@ def _decode(A: Alphabet, s: str) -> Word:
 def _mub_tuples(A: Alphabet, us: str, vs: str) -> frozenset:
     """The minimal merges of two code strings; callers pass the pair sorted,
     so that both orders share one entry."""
-    _, leq, mubs, _ = _letter_codes(A)
+    _, leq, mubs, _, _ = _letter_codes(A)
     n = len(vs)
     # below[j] holds the minimal merges of us[i + 1:] and vs[j:]; row i reads
     # only itself and row i + 1, so the rows are filled from the ends

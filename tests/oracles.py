@@ -4,7 +4,8 @@ Everything here is deliberately written from the definitions, sharing no
 algorithmic ideas with the package (exhaustive embedding search instead of
 greedy matching, pointwise set evaluation instead of basis calculus,
 subset enumeration instead of bitmask filters, removing every state instead
-of testing one path's).
+of testing one path's, Words written letter by letter instead of code strings
+through one table).
 """
 
 from itertools import combinations, permutations, product
@@ -226,3 +227,14 @@ def cut_states_oracle(ts, x, y) -> list:
         if z not in (x, y) and y not in undirected_distances(ts, x, {z})
     ]
     return sorted(cuts, key=dist.__getitem__)
+
+
+def format_segment_oracle(F) -> str:
+    """F as the listings write it, from the Words of its basis: ∅, A*, ↑u or
+    ↑{u,v,...}, each letter longer than one character in brackets."""
+    words = ["".join(a if len(a) == 1 else f"[{a}]" for a in w.symbols) for w in F.basis]
+    if not words:
+        return "∅"
+    if words == [""]:
+        return "A*"
+    return "↑" + words[0] if len(words) == 1 else "↑{" + ",".join(words) + "}"

@@ -825,6 +825,18 @@ class TestArticulationStates:
         assert articulation_states(ts, env.x, env.y) == []
         assert len(calls) <= 1 + d
 
+    def test_reads_the_graph_off_the_system_unsaturated(self, monkeypatch):
+        """Saturating would add only loops and pairs a letter already joins,
+        so the undirected graph is read off the system's own masks."""
+        A = ab()
+        F = concat_seg(segment(A, "aa", "bb"), segment(A, "aa", "bb"))
+        env = build_envelope(F)
+        ts = env.transition_system()
+        calls = count_calls(monkeypatch, automata, "_saturated")
+        assert articulation_states(ts, env.x, env.y) == [segment(A, "aa", "bb")]
+        assert articulation_states(ts, env.y, env.x) == [segment(A, "aa", "bb")]
+        assert calls == []
+
 
 def random_saturated_automaton(A, rng, n_states=3, density=0.3):
     states = tuple(f"q{i}" for i in range(n_states))

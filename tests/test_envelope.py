@@ -18,7 +18,7 @@ from higman.segments import (
     intersect,
     involute_seg,
     right_residual,
-    seg_key,
+    seg_keys,
     segment,
     subset_of,
 )
@@ -362,7 +362,7 @@ class TestSystemView:
 
 def eager_views(F):
     """elements, hasse and extent of F's envelope, read eagerly: every AND
-    of columns gets its form, the forms are sorted by seg_key, and the
+    of columns gets its form, the forms are sorted by seg_keys, and the
     covers of E are the largest extents strictly inside it, found among all
     the extents rather than the column meets."""
     context = galois_context(F)
@@ -380,7 +380,8 @@ def eager_views(F):
             if not any(M & K == M for K in largest):
                 largest.append(M)
         hasse |= {(form[M], form[E]) for M in largest}
-    elements = tuple(sorted(form.values(), key=seg_key))
+    key = dict(zip(form.values(), seg_keys(form.values())))
+    elements = tuple(sorted(form.values(), key=key.__getitem__))
     return elements, frozenset(hasse), {form[E]: E for E in extents}
 
 

@@ -2,9 +2,10 @@
 
 import json
 
+from higman import export
 from higman.segments import segment
 from higman.automata import minimal_dfa
-from higman.envelope import build_envelope
+from higman.envelope import build_envelope, dist
 from higman.export import (
     automaton_payload,
     dfa_payload,
@@ -15,11 +16,82 @@ from higman.export import (
     envelope_payload,
 )
 from higman.minmax_pair import automaton_one
-from helpers import ab
+from higman.words import sort_key
+from helpers import (
+    ab,
+    count_calls,
+    output_under_another_hash_seed,
+    regression_envelopes,
+)
+from oracles import format_segment_oracle
 
 
 def square_pair_env():
     return build_envelope(segment(ab(), "aa", "bb"))
+
+
+# The views written again as export wrote them before it named each state
+# once: every node and every end of every edge is named afresh by
+# oracles.format_segment_oracle, and elements and covers are sorted by the
+# order of seg_keys, from its definition. Kept here, not in oracles.py, which
+# the benchmark compiles afresh on every set-up.
+def _seg_order(F) -> tuple:
+    """Basis size, then each basis word's sort_key."""
+    return (len(F.basis), tuple(map(sort_key, F.basis)))
+
+
+def _quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _sorted_covers_oracle(env) -> list:
+    return sorted(env.hasse, key=lambda c: (_seg_order(c[0]), _seg_order(c[1])))
+
+
+def dot_hasse_oracle(env) -> str:
+    """export.dot_hasse written again: elements and covers sorted by their
+    seg_keys order, every node and every end of every cover named afresh."""
+    name = format_segment_oracle
+    lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
+    lines += [f"  {_quoted(name(P))};" for P in sorted(env.elements, key=_seg_order)]
+    for lo, hi in _sorted_covers_oracle(env):
+        lines.append(f"  {_quoted(name(lo))} -> {_quoted(name(hi))};")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def dot_transitions_oracle(env, include_loops: bool) -> str:
+    """export.dot_transitions written again: y doubled, and one edge per
+    pair of ends, each end named afresh, labeled by its sorted letters."""
+    name = format_segment_oracle
+    lines = ["digraph transitions {", "  node [shape=box];"]
+    for P in sorted(env.elements, key=_seg_order):
+        shape = " [peripheries=2]" if P is env.y else ""
+        lines.append(f"  {_quoted(name(P))}{shape};")
+    letters = {}
+    for p, a, q in env.t_f:
+        if p != q or include_loops:
+            letters.setdefault((name(p), name(q)), set()).add(a)
+    for (p, q), group in sorted(letters.items()):
+        label = ",".join(sorted(group))
+        lines.append(f"  {_quoted(p)} -> {_quoted(q)} [label={_quoted(label)}];")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def envelope_payload_oracle(env) -> dict:
+    """export.envelope_payload written again, naming every segment afresh
+    wherever it appears."""
+    name = format_segment_oracle
+    elements = sorted(env.elements, key=_seg_order)
+    return {
+        "elements": [name(P) for P in elements],
+        "x": name(env.x),
+        "y": name(env.y),
+        "hasse": [[name(lo), name(hi)] for lo, hi in _sorted_covers_oracle(env)],
+        "transitions": sorted([name(p), a, name(q)] for p, a, q in env.t_f),
+        "distances": [
+            [name(P), name(Q), name(dist(env, P, Q))] for P in elements for Q in elements
+        ],
+    }
 
 
 class TestDot:
@@ -99,3 +171,73 @@ class TestPayloads:
         assert payload["accepting"] == ["A*"]
         # total: one triple per state and letter
         assert len(payload["delta"]) == len(payload["states"]) * 2
+
+
+class TestNaming:
+    def test_views_equal_a_reference_naming_every_end_afresh(self):
+        """The views name each state once and list covers in the order of
+        env.elements; a reference that names every edge end again and sorts
+        covers by seg_keys writes the same bytes."""
+        for env in regression_envelopes():
+            assert dot_hasse(env) == dot_hasse_oracle(env)
+            for loops in (False, True):
+                assert dot_transitions(env, loops) == dot_transitions_oracle(env, loops)
+            assert envelope_payload(env) == envelope_payload_oracle(env)
+
+    def test_each_dot_view_names_each_state_once(self, monkeypatch):
+        env = build_envelope(segment(ab(), "aaaa", "bbbb"))
+        calls = count_calls(monkeypatch, export, "format_segment")
+        views = (
+            dot_hasse,
+            dot_transitions,
+            lambda env: dot_transitions(env, include_loops=True),
+            lambda env: dot_automaton(env.automaton(), include_loops=True),
+        )
+        for view in views:
+            calls.clear()
+            view(env)
+            assert len(calls) == len(set(calls)) <= len(env.elements)
+
+    def test_the_payload_names_each_segment_once(self, monkeypatch):
+        env = build_envelope(segment(ab(), "aaaa", "bbbb"))
+        calls = count_calls(monkeypatch, export, "format_segment")
+        payload = envelope_payload(env)
+        assert len(calls) == len(set(calls))
+        named = {name for pair in payload["distances"] for name in pair}
+        assert len(calls) == len(named)
+
+
+# an envelope of {aaa,bbb} built afresh, then each way out in turn: the
+# number of its elements that hold their basis as Words after each
+NO_BASIS_ON_THE_WAY_OUT = """
+import contextlib, io, json, pickle, sys
+from higman import cli
+from higman.envelope import build_envelope
+from higman.export import dot_hasse, dot_transitions, envelope_payload
+from higman.segments import segment
+from helpers import ab
+env = build_envelope.__wrapped__(segment(ab(), "aaa", "bbb"))
+counts = [sum("basis" in vars(P) for P in env.elements)]
+for way_out in (
+    dot_hasse,
+    lambda env: dot_transitions(env, include_loops=True),
+    envelope_payload,
+    pickle.dumps,
+):
+    way_out(env)
+    counts.append(sum("basis" in vars(P) for P in env.elements))
+sys.stdin = io.StringIO('{"letters": ["a", "b"], "generators": ["aaa", "bbb"]}')
+with contextlib.redirect_stdout(io.StringIO()) as listing:
+    assert cli.main(["envelope", "-"]) == 0
+assert len(listing.getvalue().splitlines()) == 1 + len(env)
+counts.append(sum("basis" in vars(P) for P in env.elements))
+print(json.dumps(counts))
+"""
+
+
+def test_no_element_builds_its_basis_on_the_way_out():
+    """The DOT and JSON views, a pickle and the CLI listing write segments
+    from their codes, so no element of a fresh envelope builds its Words;
+    in a child process, as this one's segments are shared between tests."""
+    counts = json.loads(output_under_another_hash_seed(NO_BASIS_ON_THE_WAY_OUT))
+    assert counts == [0] * 6

@@ -26,7 +26,6 @@ from higman.segments import (
     leq,
     product_in,
     right_residual,
-    seg_key,
     seg_keys,
     segment,
     subset_of,
@@ -53,7 +52,14 @@ from helpers import (
     regression_bases,
     regression_envelopes,
 )
-from oracles import concat_member, embeds_exhaustive, included, member, words_upto
+from oracles import (
+    concat_member,
+    embeds_exhaustive,
+    format_segment_oracle,
+    included,
+    member,
+    words_upto,
+)
 
 
 class TestCanonicalize:
@@ -421,7 +427,8 @@ def test_products_and_involutes_minimize_nothing(monkeypatch):
     the same segments, does reach."""
     A = ab()
     space = as_pointed(build_envelope(segment(A, "aaa", "bbb")))
-    distances = sorted(set(space.d.values()), key=seg_key)
+    distances = list(set(space.d.values()))
+    distances.sort(key=dict(zip(distances, seg_keys(distances))).__getitem__)
     clear_caches()
     calls = []
     minimal = segments._minimal
@@ -501,6 +508,32 @@ def test_pickled_segment_equals_and_hashes_as_the_shared_one():
         assert canonicalize(G.alphabet, G.basis) is F
 
 
+def test_format_segment_writes_what_the_words_of_the_basis_write():
+    """format_segment writes a segment from its codes as its Words write it,
+    a multi-character letter in brackets."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    primed = abc_primed()
+    for A in (ab(), primed):
+        for F in (empty_segment(A), full_segment(A)):
+            assert format_segment(F) == format_segment_oracle(F)
+    assert format_segment(segment(primed, "[a']b[c']")) == "↑[a']b[c']"
+
+    @hypothesis.settings(
+        max_examples=80, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(
+        st.sampled_from([ab_ordered(), primed, Alphabet(["a", "bb", "c", "dd"])]),
+        st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=4),
+    )
+    def check(A, picks):
+        words = [Word(A, [A.letters[i % len(A.letters)] for i in p]) for p in picks]
+        F = canonicalize(A, words)
+        assert format_segment(F) == format_segment_oracle(F)
+
+    check()
+
+
 def test_every_construction_path_gives_the_one_object_of_its_value():
     """Equal segments are one object however they were made: by a
     constructor, by an operation of the algebra or by a copy."""
@@ -544,7 +577,8 @@ def test_the_metric_algebra_builds_no_word(monkeypatch):
     A = ab()
     env = build_envelope(segment(A, "aaa", "bbb"))
     space = as_pointed(env)
-    distances = sorted(set(space.d.values()), key=seg_key)
+    distances = list(set(space.d.values()))
+    distances.sort(key=dict(zip(distances, seg_keys(distances))).__getitem__)
     clear_caches()
     made = []
     word, init = words._word, Word.__init__
@@ -623,7 +657,6 @@ def test_seg_keys_are_basis_size_then_word_keys():
         bases = regression_bases(A, max_gens=3, max_len=2)
         expected = [(len(F.basis), tuple(sort_key(u) for u in F.basis)) for F in bases]
         assert seg_keys(bases) == expected
-        assert [seg_key(F) for F in bases] == expected
     assert seg_keys([]) == []
 
 
@@ -637,6 +670,49 @@ def test_equal_builds_are_one_object_with_a_stable_hash():
             first = hash(F)
             assert again() is F
             assert hash(again()) == first == hash(F)
+
+
+class _OldShape:
+    """Pickles as a segment did when it travelled as its alphabet and Words."""
+
+    def __init__(self, F):
+        self.F = F
+
+    def __reduce__(self):
+        return FinalSegment, (self.F.alphabet, self.F.basis)
+
+
+def test_a_pickle_of_the_older_shape_loads_as_the_shared_segment():
+    A = abc_primed()
+    for F in (segment(A, "[a']b", "c[c']a"), full_segment(A), empty_segment(A)):
+        data = pickle.dumps(_OldShape(F))
+        assert (b"Word" in data) is bool(F.codes)
+        assert pickle.loads(data) is F
+        assert b"Word" not in pickle.dumps(F)
+        assert copy.deepcopy(F) is F
+
+
+# pickles the envelope of {aaa,bbb} with its forms read
+PICKLE_ENVELOPE = """
+import pickle, sys
+from higman.envelope import build_envelope
+from higman.segments import segment
+from helpers import ab
+env = build_envelope(segment(ab(), "aaa", "bbb"))
+assert len(env.elements) == 20
+sys.stdout.buffer.write(pickle.dumps(env))
+"""
+
+
+def test_a_pickled_envelope_carries_codes_and_loads_the_shared_segments():
+    """Segments travel as their alphabet and codes, so the stream holds no
+    Word, and the loaded elements are this process's segments."""
+    data = output_under_another_hash_seed(PICKLE_ENVELOPE)
+    assert b"Word" not in data
+    env = pickle.loads(data)
+    local = build_envelope(segment(ab(), "aaa", "bbb"))
+    assert env == local and "elements" in vars(env)
+    assert all(P is Q for P, Q in zip(env.elements, local.elements, strict=True))
 
 
 # pickles a segment whose hash is already computed and kept
